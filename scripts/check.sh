@@ -291,6 +291,20 @@ if [ -n "$ccdf_hits" ]; then
 fi
 echo "delay_ccdf_bound retirement gate: OK"
 
+# Results are pure answers: the per-result cache-outcome counters, the
+# outcome stamping that filled them, the cache-corruption warning kinds
+# and the legacy cache-key probe chain are retired -- provenance lives
+# only in the response's "cache" tag and CacheStats, and each schema's
+# entries live in their own v<N>/ epoch directory.
+provenance_hits=$(grep -rnE \
+  'legacy_v[0-9]_solve_cache_key|cache_hits|cache_misses|cache_stale|apply_cache_outcome|kCorruptCache|kCacheStoreFailed' \
+  src tools include bench examples || true)
+if [ -n "$provenance_hits" ]; then
+  echo "FAIL: retired cache provenance / legacy-key code referenced:"
+  echo "$provenance_hits"; exit 1
+fi
+echo "pure-answer gate: OK"
+
 # Profile CSV is machine output: two identical runs (default warm
 # chaining included) must be byte-identical.
 prof_a=$(mktemp); prof_b=$(mktemp)
@@ -333,12 +347,11 @@ echo "profile pinning gate: OK (4 levels byte-identical to scalar solves)"
 
 # Profile requests ride the batch protocol and the persistent cache:
 # --emit-batch --ccdf emits profile requests (strict-lint clean), a
-# second run answers every one from cache bit-identically (modulo the
-# cache-outcome tag), and doctoring every stored entry to wire schema 4
-# classifies ALL of them stale -- zero hits, zero wrong answers, full
-# re-solve.  (The key-level v4 migration -- kind-less keys probed as
-# legacy, never matched as current -- is pinned by the result_cache
-# ctest; this smoke covers the payload-schema path end to end.)
+# second run answers every one from cache bit-identically, and
+# doctoring every stored entry to wire schema 5 classifies ALL of them
+# stale -- zero hits, zero wrong answers, full re-solve.  The "cache"
+# tag is the only provenance on a response, so each run must equal the
+# cold run with its "miss" tags rewritten to the expected outcome.
 prof_dir=$(mktemp -d)
 ./build/tools/deltanc_cli --hops 3 --sweep uc=0.2:0.6:3 \
   --ccdf 1e-6:1e-3:3 --emit-batch > "$prof_dir/req.jsonl" 2>/dev/null
@@ -355,30 +368,38 @@ grep -q 'hits=3 misses=0 stale=0' "$prof_dir/warm.err" || {
   echo "FAIL: warm profile batch missed the cache:"
   cat "$prof_dir/warm.err"; exit 1
 }
-strip_cache_tag() {
-  sed -e 's/"cache":"[a-z]*",//g' \
-      -e 's/"scan_ms":[0-9.eE+-]*,"refine_ms":[0-9.eE+-]*/"t":0/g' \
-      -e 's/"cache_hits":[0-9]*,"cache_misses":[0-9]*,"cache_stale":[0-9]*/"c":0/g' \
-      "$1"
+cold_as() {  # cold_as <tag>: the cold responses with "miss" read as <tag>
+  sed "s/\"cache\":\"miss\"/\"cache\":\"$1\"/" "$prof_dir/cold.jsonl"
 }
-if ! cmp -s <(strip_cache_tag "$prof_dir/cold.jsonl") \
-            <(strip_cache_tag "$prof_dir/warm.jsonl"); then
+if ! cmp -s <(cold_as hit) "$prof_dir/warm.jsonl"; then
   echo "FAIL: cached profile responses differ from solved ones"; exit 1
 fi
 find "$prof_dir/cache" -type f -name '*.json' \
-  -exec sed -i 's/"schema":5/"schema":4/' {} +
+  -exec sed -i 's/"schema":6/"schema":5/' {} +
 ./build/tools/deltanc_cli --batch "$prof_dir/req.jsonl" \
   --cache-dir "$prof_dir/cache" > "$prof_dir/stale.jsonl" 2> "$prof_dir/stale.err"
 grep -q 'hits=0 misses=0 stale=3' "$prof_dir/stale.err" || {
-  echo "FAIL: schema-4 entries were not all classified stale:"
+  echo "FAIL: schema-5 entries were not all classified stale:"
   cat "$prof_dir/stale.err"; exit 1
 }
-if ! cmp -s <(strip_cache_tag "$prof_dir/cold.jsonl") \
-            <(strip_cache_tag "$prof_dir/stale.jsonl"); then
+if ! cmp -s <(cold_as stale) "$prof_dir/stale.jsonl"; then
   echo "FAIL: stale-migration re-solve changed the answers"; exit 1
 fi
+# Flat-layout migration: the (re-solved, fully valid) entries moved to
+# the pre-epoch flat layout are never opened -- all misses, zero hits,
+# counted as foreign -- and the re-solves are bit-identical.
+mv "$prof_dir"/cache/v6/*.json "$prof_dir/cache/"
+./build/tools/deltanc_cli --batch "$prof_dir/req.jsonl" \
+  --cache-dir "$prof_dir/cache" > "$prof_dir/flat.jsonl" 2> "$prof_dir/flat.err"
+grep -q 'hits=0 misses=3 stale=0 .*foreign=3$' "$prof_dir/flat.err" || {
+  echo "FAIL: flat-layout entries were opened or not counted foreign:"
+  cat "$prof_dir/flat.err"; exit 1
+}
+if ! cmp -s "$prof_dir/cold.jsonl" "$prof_dir/flat.jsonl"; then
+  echo "FAIL: flat-layout migration re-solve changed the answers"; exit 1
+fi
 rm -rf "$prof_dir"
-echo "profile batch + schema-migration gate: OK"
+echo "profile batch + schema/layout-migration gate: OK"
 
 # The warm descending-eps chain must actually pay for itself: on a
 # 16-level profile it measured 3.8x fewer optimizer evaluations than 16

@@ -36,17 +36,15 @@ enum class SolveErrorKind {
   kUnstable,          ///< offered load >= capacity; bound is +inf by theory
   kNoConvergence,     ///< an iteration (EDF fixed point) exhausted its budget
   kNumericalDomain,   ///< numerics left their domain (overflow, empty bracket)
-  kCorruptCache,      ///< a persistent cache entry was unreadable; re-solved
   // Service-level kinds (src/serve): ways a *request* can fail even
   // though the solver itself is healthy.
   kTimeout,           ///< a per-request deadline expired before the answer
   kOverload,          ///< rejected by backpressure (bounded queue was full)
   kWorkerLost,        ///< the worker died mid-request; retries exhausted
-  kCacheStoreFailed,  ///< a cache store failed (full disk); solved through
 };
 
 /// Number of distinct SolveErrorKind values (for per-kind count arrays).
-inline constexpr std::size_t kSolveErrorKinds = 10;
+inline constexpr std::size_t kSolveErrorKinds = 8;
 
 /// Stable machine-friendly name ("invalid-scenario", "unstable", ...).
 [[nodiscard]] constexpr const char* solve_error_name(SolveErrorKind kind) {
@@ -61,16 +59,12 @@ inline constexpr std::size_t kSolveErrorKinds = 10;
       return "no-convergence";
     case SolveErrorKind::kNumericalDomain:
       return "numerical-domain";
-    case SolveErrorKind::kCorruptCache:
-      return "corrupt-cache";
     case SolveErrorKind::kTimeout:
       return "timeout";
     case SolveErrorKind::kOverload:
       return "overload";
     case SolveErrorKind::kWorkerLost:
       return "worker-lost";
-    case SolveErrorKind::kCacheStoreFailed:
-      return "cache-store-failed";
   }
   return "?";
 }

@@ -30,9 +30,6 @@ SolveStats& SolveStats::operator+=(const SolveStats& other) {
   fallbacks += other.fallbacks;
   scan_ms += other.scan_ms;
   refine_ms += other.refine_ms;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_stale += other.cache_stale;
   batched_evals += other.batched_evals;
   warm_start_hits += other.warm_start_hits;
   brackets_reused += other.brackets_reused;

@@ -95,15 +95,11 @@ struct SolveStats {
   bool edf_converged = true;        ///< false if the fixed point hit its cap
   int retries = 0;     ///< EDF fixed-point restarts with tighter damping
   int fallbacks = 0;   ///< dense log-scan rescues of a degenerate/missed s scan
+  // Wall-clock timings: in-process only (--stats, SweepReport, benches).
+  // The codec never encodes them, so a stored or served result stays a
+  // pure function of (scenario, options).
   double scan_ms = 0.0;             ///< wall time in the coarse s scans
   double refine_ms = 0.0;           ///< wall time in the golden refinements
-  // Persistent-result-cache outcome of this result (filled by the batch
-  // service / caching layers in src/io, zero for a plain solve).  Kept
-  // here so SweepReport::stats surfaces cache effectiveness alongside
-  // the solver counters with the existing operator+= aggregation.
-  std::int64_t cache_hits = 0;    ///< result was served from the cache
-  std::int64_t cache_misses = 0;  ///< no entry existed; solved and stored
-  std::int64_t cache_stale = 0;   ///< entry from an older schema/version
   // SIMD / warm-start instrumentation (PR 9): the speedup must be
   // observable, not inferred.
   std::int64_t batched_evals = 0;   ///< evals dispatched through the SIMD kernel

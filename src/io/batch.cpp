@@ -103,58 +103,6 @@ ParsedRequestLine parse_request_line(const std::string& line,
   return req;
 }
 
-void apply_cache_outcome(e2e::BoundResult& result, CacheLookup outcome,
-                         const std::string& key) {
-  result.stats.cache_hits = 0;
-  result.stats.cache_misses = 0;
-  result.stats.cache_stale = 0;
-  switch (outcome) {
-    case CacheLookup::kHit:
-      result.stats.cache_hits = 1;
-      return;
-    case CacheLookup::kStale:
-      result.stats.cache_stale = 1;
-      return;
-    case CacheLookup::kMiss:
-      result.stats.cache_misses = 1;
-      return;
-    case CacheLookup::kCorrupt:
-      result.stats.cache_misses = 1;
-      result.diagnostics.warn(
-          diag::SolveErrorKind::kCorruptCache,
-          "cache entry " + key + " was unreadable; re-solved");
-      return;
-  }
-}
-
-void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
-                         const std::string& key) {
-  profile.stats.cache_hits = 0;
-  profile.stats.cache_misses = 0;
-  profile.stats.cache_stale = 0;
-  switch (outcome) {
-    case CacheLookup::kHit:
-      profile.stats.cache_hits = 1;
-      return;
-    case CacheLookup::kStale:
-      profile.stats.cache_stale = 1;
-      return;
-    case CacheLookup::kMiss:
-      profile.stats.cache_misses = 1;
-      return;
-    case CacheLookup::kCorrupt:
-      profile.stats.cache_misses = 1;
-      // The profile carries no diagnostics of its own: the recovery
-      // warning lands on the first level so it stays downstream-visible.
-      if (!profile.levels.empty()) {
-        profile.levels.front().diagnostics.warn(
-            diag::SolveErrorKind::kCorruptCache,
-            "cache entry " + key + " was unreadable; re-solved");
-      }
-      return;
-  }
-}
-
 ProfileAnswer solve_profile_request(const deltanc::Solver& solver,
                                     const e2e::Scenario& sc,
                                     std::span<const double> epsilons) {
@@ -257,29 +205,10 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
       pending.push_back(i);
       continue;
     }
-    if (req.line.is_profile()) {
-      // Profile entries are new in schema 5: key-level lookup, no
-      // legacy chain to probe.
-      e2e::DelayProfile cached;
-      req.outcome = options.cache->lookup_profile(req.line.key, cached);
-      if (req.outcome == CacheLookup::kHit) {
-        req.profile = std::move(cached);
-        apply_cache_outcome(req.profile, req.outcome, req.line.key);
-        ++summary.cached;
-      } else {
-        pending.push_back(i);
-      }
-      continue;
-    }
-    e2e::BoundResult cached;
-    // Scenario-level lookup: also classifies pre-refactor (schema-1)
-    // entries of the same solve as stale instead of missing them.
-    req.outcome =
-        options.cache->lookup(req.line.scenario, req.line.options, cached);
+    req.outcome = req.line.is_profile()
+                      ? options.cache->lookup_profile(req.line.key, req.profile)
+                      : options.cache->lookup(req.line.key, req.point.bound);
     if (req.outcome == CacheLookup::kHit) {
-      req.point.scenario = req.line.scenario;
-      req.point.bound = std::move(cached);
-      apply_cache_outcome(req.point.bound, req.outcome, req.line.key);
       ++summary.cached;
     } else {
       pending.push_back(i);
@@ -324,13 +253,11 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
       Request& req = requests[members[j]];
       req.point = report.points[j];
       if (req.point.ok && options.cache != nullptr) {
-        // Persist with the cache counters zeroed: they describe how a
-        // particular response was obtained, not the result itself.  A
-        // failed store (full disk, read-only directory) degrades to a
+        // A failed store (full disk, read-only directory) degrades to a
         // counted solve-through -- the batch keeps answering.
         (void)options.cache->try_store(req.line.key, req.point.bound);
       }
-      apply_cache_outcome(req.point.bound, req.outcome, req.line.key);
+      summary.stats += req.point.bound.stats;
       ++summary.solved;
       if (!req.point.ok) ++summary.failed;
     }
@@ -372,11 +299,9 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     for (const std::size_t i : members) {
       Request& req = requests[i];
       if (req.point.ok && options.cache != nullptr) {
-        // Same persistence discipline as the scalar pass: counters
-        // zeroed, failed stores degrade to counted solve-through.
         (void)options.cache->try_store_profile(req.line.key, req.profile);
       }
-      apply_cache_outcome(req.profile, req.outcome, req.line.key);
+      summary.stats += req.profile.stats;
       ++summary.solved;
       if (!req.point.ok) ++summary.failed;
     }
@@ -392,11 +317,9 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     } else if (req.line.is_profile()) {
       response = make_ok_profile_response(
           req.line.id, options.cache != nullptr, req.outcome, req.profile);
-      summary.stats += req.profile.stats;
     } else {
       response = make_ok_response(req.line.id, options.cache != nullptr,
                                   req.outcome, req.point.bound);
-      summary.stats += req.point.bound.stats;
     }
     out << response.dump() << '\n';
     if (!out.good()) {
@@ -410,14 +333,8 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   }
 
   if (options.cache != nullptr) {
-    const CacheStats& after = options.cache->stats();
-    summary.cache_stats.hits = after.hits - cache_before.hits;
-    summary.cache_stats.misses = after.misses - cache_before.misses;
-    summary.cache_stats.stale = after.stale - cache_before.stale;
-    summary.cache_stats.corrupt = after.corrupt - cache_before.corrupt;
-    summary.cache_stats.stores = after.stores - cache_before.stores;
-    summary.cache_stats.store_failures =
-        after.store_failures - cache_before.store_failures;
+    summary.cache_stats = options.cache->stats();
+    summary.cache_stats -= cache_before;
   }
   summary.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();

@@ -18,13 +18,10 @@
 //
 // Caching: with a ResultCache attached, every request is looked up
 // first; hits are answered without solving, and every solved result is
-// stored back.  A stale entry (other schema or library version) and a
-// corrupt entry (unreadable bytes) both re-solve and overwrite; a
-// corrupt one additionally tags the result with a diag::kCorruptCache
-// warning so the recovery is visible downstream.  Each response's
-// result.stats carries exactly one of cache_hits / cache_misses /
-// cache_stale = 1, so summing stats over responses (as SweepReport
-// already does) yields the hit ratio.
+// stored back.  A stale entry (other library version) and a corrupt
+// entry (unreadable bytes) both re-solve and overwrite.  The response's
+// "cache" tag is the only record of how an answer was obtained: the
+// "result" / "profile" payload is byte-identical whichever way it came.
 //
 // Parallelism: cache misses are grouped by solve options and fanned out
 // through SweepRunner, so a cold batch gets the same thread scaling as a
@@ -72,7 +69,8 @@ struct BatchSummary {
   /// of dying on SIGPIPE.
   bool output_failed = false;
   double wall_ms = 0.0;           ///< end-to-end wall clock
-  e2e::SolveStats stats{};        ///< summed over all ok responses
+  e2e::SolveStats stats{};        ///< solver work of this run's solves
+                                  ///<   (cache hits add nothing)
   CacheStats cache_stats{};       ///< cache traffic of this run
 };
 
@@ -84,9 +82,9 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
 
 // ----- pieces shared with the persistent solve service (src/serve) -------
 // The serve workers must answer with responses *byte-identical* to
-// run_batch's (scripts/check_serve.sh diffs them), so the request
-// grammar, the cache-outcome bookkeeping, and the response layout live
-// here once and are consumed by both paths.
+// run_batch's (scripts/check_serve.sh compares them with cmp), so the
+// request grammar and the response layout live here once and are
+// consumed by both paths.
 
 /// One parsed request line: the effective scenario (scheduler override
 /// folded in), canonical options, and the cache key they hash to.
@@ -119,19 +117,6 @@ struct PartialRequestError : std::runtime_error {
 
 /// Stable wire name of a lookup outcome ("hit"/"miss"/"stale"/"corrupt").
 [[nodiscard]] const char* cache_lookup_name(CacheLookup outcome);
-
-/// Applies the cache-outcome bookkeeping run_batch performs on a result
-/// before emission: exactly one of stats.cache_hits / cache_misses /
-/// cache_stale is set to 1 (kCorrupt counts as a miss) and a kCorrupt
-/// outcome appends the kCorruptCache recovery warning.
-void apply_cache_outcome(e2e::BoundResult& result, CacheLookup outcome,
-                         const std::string& key);
-
-/// Profile flavor: the counters land on the profile's aggregate stats;
-/// the kCorrupt recovery warning lands on the first level's diagnostics
-/// (the profile itself carries none).
-void apply_cache_outcome(e2e::DelayProfile& profile, CacheLookup outcome,
-                         const std::string& key);
 
 /// Outcome of solving one profile request (solve_profile_request).
 struct ProfileAnswer {

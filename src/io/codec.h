@@ -7,20 +7,22 @@
 // Versioning: every top-level document (scenario file, grid file, report
 // file, cache entry, batch request/response) carries a "schema" field
 // equal to kSchemaVersion.  Decoders reject documents with a different
-// schema (SchemaError), which is what lets the persistent cache
-// invalidate itself automatically when the wire format changes; nested
-// values (a scenario inside a report) carry no redundant schema field.
+// schema (SchemaError); nested values (a scenario inside a report) carry
+// no redundant schema field.  The persistent cache additionally keeps
+// each schema's entries in their own `v<schema>/` directory, so a bump
+// never even opens an older entry (io/result_cache.h).
 //
 // Canonicalization: encoders emit fields in a fixed documented order and
 // the compact dump() is byte-stable for a given input, so
-// solve_cache_key() -- the compact dump of (schema, scenario, solve
-// options) -- is a canonical content hash input.  The library version is
-// deliberately NOT part of the key: the cache stores it per entry and
-// classifies version mismatches as *stale* (observable, re-solved,
-// overwritten) rather than burying them as silent misses.
+// solve_cache_key() -- the compact dump of (kind, scenario, solve
+// options) -- is a canonical content hash input.
+//
+// Answers, not provenance: an encoded BoundResult / DelayProfile is a
+// pure function of the solve's inputs.  How an answer was obtained (the
+// cache outcome, wall-clock timings) is recorded beside it by the layers
+// above -- the response's "cache" tag, CacheStats -- never inside it.
 #pragma once
 
-#include <optional>
 #include <span>
 
 #include "core/sweep.h"
@@ -39,8 +41,10 @@ namespace deltanc::io {
 /// 4 = solve options gain "warm_start"; 5 = cache keys gain a "kind"
 /// discriminator ("solve" / "profile") and delay-profile documents
 /// (epsilons, levels, stats with the profile_* counters) join the wire
-/// format.
-inline constexpr int kSchemaVersion = 5;
+/// format; 6 = stats lose their provenance fields (the per-result
+/// cache-outcome counters and the scan/refine wall-clock timings) and
+/// cache entries move under a per-schema `v6/` directory.
+inline constexpr int kSchemaVersion = 6;
 
 /// A structurally valid JSON document that does not decode as the
 /// requested type (missing/mistyped fields, unknown enum names, bad
@@ -70,10 +74,10 @@ struct SchemaError : CodecError {
 //               n_cross, epsilon,
 //               scheduler{kind, delta, edf{own_factor, cross_factor}}
 //   SolveStats: optimize_evals, eb_evals, sigma_evals, edf_iterations,
-//               edf_converged, retries, fallbacks, scan_ms, refine_ms,
-//               cache_hits, cache_misses, cache_stale, batched_evals,
+//               edf_converged, retries, fallbacks, batched_evals,
 //               warm_start_hits, brackets_reused, profile_levels,
-//               profile_chain_hits
+//               profile_chain_hits (deterministic solver work only: the
+//               scan_ms / refine_ms timings stay in process)
 //   Diagnostics: error, message, warnings[{kind, message}]
 //   BoundResult: delay_ms, gamma, s, sigma, delta, stats, diagnostics
 //   SweepPoint:  scenario, bound, solve_ms, ok, error
@@ -127,12 +131,9 @@ struct SchemaError : CodecError {
 /// options": the compact dump of {"kind": "solve", "scenario",
 /// "options"} with the scheduler override already folded into the
 /// scenario.  Two solves get the same key iff the codec cannot
-/// distinguish their inputs.  The "kind" discriminator (since v5) keeps
-/// scalar and profile entries in disjoint key spaces.  The schema
-/// version is deliberately NOT part of the key (since v2): the cache
-/// stores it per entry and classifies mismatches as *stale*; a schema
-/// inside the key would silently change every file name on a bump and
-/// bury old entries as misses.
+/// distinguish their inputs.  The "kind" discriminator keeps scalar and
+/// profile entries in disjoint key spaces.  The schema version is not
+/// part of the key: it names the cache's epoch directory instead.
 [[nodiscard]] std::string solve_cache_key(const e2e::Scenario& sc,
                                           const SolveOptions& options);
 
@@ -146,45 +147,6 @@ struct SchemaError : CodecError {
 [[nodiscard]] std::string profile_cache_key(const e2e::Scenario& sc,
                                             std::span<const double> epsilons,
                                             const SolveOptions& options);
-
-/// The byte-exact schema-1 cache key the pre-SchedulerSpec codec would
-/// have produced for the same solve ({"schema":1, "scenario":{...,
-/// "scheduler":"<kind name>", "edf":{...}}, "options":{...}}), used by
-/// ResultCache to classify pre-refactor entries as stale instead of
-/// missing them.  nullopt when the solve has no schema-1 spelling (an
-/// explicit fixed-Delta scheduler, or any curve-backed kind).
-[[nodiscard]] std::optional<std::string> legacy_v1_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options);
-
-/// The byte-exact schema-2 cache key for the same solve: identical to
-/// solve_cache_key() except the scheduler objects carry no "params"
-/// array.  Probed by ResultCache so schema-2 entries classify as stale
-/// (observable, re-solved, overwritten) rather than as misses.  nullopt
-/// when the solve has no schema-2 spelling (a curve-backed scheduler --
-/// gps/drr/sced did not exist before schema 3).
-[[nodiscard]] std::optional<std::string> legacy_v2_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options);
-
-/// The byte-exact schema-3 cache key for the same solve: identical to
-/// solve_cache_key() but without the "warm_start" options field (which
-/// did not exist before schema 4).  Probed by ResultCache so schema-3
-/// entries classify as stale (kStale) instead of invisibly missing.
-/// nullopt when the solve has no schema-3 spelling (a warm-started
-/// solve -- warm-starting did not exist before schema 4, and its result
-/// need not be bit-identical to the cold entry's).
-[[nodiscard]] std::optional<std::string> legacy_v3_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options);
-
-/// The byte-exact schema-4 cache key for the same solve: identical to
-/// solve_cache_key() but without the "kind" discriminator (which did not
-/// exist before schema 5).  Probed first in ResultCache's legacy chain
-/// so schema-4 entries classify as stale (kStale) instead of invisibly
-/// missing.  Every scalar solve had a schema-4 spelling, so this never
-/// returns nullopt; the optional return keeps the legacy-probe API
-/// uniform.  Profiles have no legacy spelling at all (they are new in
-/// schema 5), so no profile counterpart exists.
-[[nodiscard]] std::optional<std::string> legacy_v4_solve_cache_key(
-    const e2e::Scenario& sc, const SolveOptions& options);
 
 // ----- helpers shared by the cache / batch layers ------------------------
 

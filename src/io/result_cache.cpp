@@ -31,6 +31,42 @@ CacheStats& CacheStats::operator+=(const CacheStats& other) noexcept {
   return *this;
 }
 
+CacheStats& CacheStats::operator-=(const CacheStats& other) noexcept {
+  hits -= other.hits;
+  misses -= other.misses;
+  stale -= other.stale;
+  corrupt -= other.corrupt;
+  stores -= other.stores;
+  store_failures -= other.store_failures;
+  return *this;
+}
+
+namespace {
+
+/// The current epoch's directory name, "v<kSchemaVersion>".
+const std::string& epoch_name() {
+  static const std::string name = "v" + std::to_string(kSchemaVersion);
+  return name;
+}
+
+/// True for "v" followed by one or more digits.
+bool is_epoch_name(const std::string& name) {
+  return name.size() > 1 && name[0] == 'v' &&
+         name.find_first_not_of("0123456789", 1) == std::string::npos;
+}
+
+/// Regular `*.json` files directly under `dir`.
+std::int64_t count_entries(const std::filesystem::path& dir) {
+  std::int64_t n = 0;
+  std::error_code ec;
+  for (const auto& item : std::filesystem::directory_iterator(dir, ec)) {
+    if (item.is_regular_file(ec) && item.path().extension() == ".json") ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
 ResultCache::ResultCache(std::filesystem::path dir)
     : ResultCache(std::move(dir), CacheShard{}) {}
 
@@ -41,13 +77,26 @@ ResultCache::ResultCache(std::filesystem::path dir, CacheShard shard)
                                 std::to_string(shard_.index) + " of " +
                                 std::to_string(shard_.count));
   }
+  const std::filesystem::path epoch = dir_ / epoch_name();
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec || !std::filesystem::is_directory(dir_)) {
+  std::filesystem::create_directories(epoch, ec);
+  if (ec || !std::filesystem::is_directory(epoch)) {
     throw std::runtime_error("result cache: cannot create directory " +
-                             dir_.string() +
+                             epoch.string() +
                              (ec ? ": " + ec.message() : std::string()));
   }
+}
+
+std::int64_t ResultCache::foreign_entries(const std::filesystem::path& dir) {
+  std::int64_t n = count_entries(dir);
+  std::error_code ec;
+  for (const auto& item : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = item.path().filename().string();
+    if (item.is_directory(ec) && is_epoch_name(name) && name != epoch_name()) {
+      n += count_entries(item.path());
+    }
+  }
+  return n;
 }
 
 int ResultCache::shard_of(std::string_view key, int shard_count) noexcept {
@@ -71,12 +120,12 @@ std::filesystem::path ResultCache::entry_path(std::string_view key) const {
   char name[32];
   std::snprintf(name, sizeof(name), "%016llx.json",
                 static_cast<unsigned long long>(fnv1a64(key)));
-  return dir_ / name;
+  return dir_ / epoch_name() / name;
 }
 
 namespace {
 
-/// Shared classification body of the scalar and profile entry readers:
+/// Shared classification body of lookup and lookup_profile:
 /// `decode_payload` pulls the type-specific payload out of a structurally
 /// valid, schema-current, key-matching entry.
 template <typename DecodePayload>
@@ -118,22 +167,6 @@ CacheLookup classify_entry(const std::filesystem::path& path,
 
 }  // namespace
 
-CacheLookup ResultCache::read_entry(const std::filesystem::path& path,
-                                    const std::string& key,
-                                    e2e::BoundResult& result) const {
-  return classify_entry(path, key, [&](const json::Value& entry) {
-    result = decode_bound_result(entry.at("result"));
-  });
-}
-
-CacheLookup ResultCache::read_profile_entry(const std::filesystem::path& path,
-                                            const std::string& key,
-                                            e2e::DelayProfile& profile) const {
-  return classify_entry(path, key, [&](const json::Value& entry) {
-    profile = decode_delay_profile(entry.at("profile"));
-  });
-}
-
 void ResultCache::count(CacheLookup outcome) noexcept {
   switch (outcome) {
     case CacheLookup::kHit:
@@ -153,35 +186,10 @@ void ResultCache::count(CacheLookup outcome) noexcept {
 
 CacheLookup ResultCache::lookup(const std::string& key,
                                 e2e::BoundResult& result) {
-  const CacheLookup outcome = read_entry(entry_path(key), key, result);
-  count(outcome);
-  return outcome;
-}
-
-CacheLookup ResultCache::lookup(const e2e::Scenario& sc,
-                                const SolveOptions& options,
-                                e2e::BoundResult& result) {
-  const std::string key = solve_cache_key(sc, options);
-  CacheLookup outcome = read_entry(entry_path(key), key, result);
-  if (outcome == CacheLookup::kMiss) {
-    // Nothing under the current key: probe the byte-exact schema-4,
-    // schema-3, schema-2, and schema-1 slots of the same solve (their
-    // keys hash to different file names).  Any entry there -- whatever
-    // its state -- is a pre-refactor artifact of this exact solve:
-    // classify it stale so the re-solve is observable, never serve bits
-    // from it.
-    for (const std::optional<std::string>& legacy :
-         {legacy_v4_solve_cache_key(sc, options),
-          legacy_v3_solve_cache_key(sc, options),
-          legacy_v2_solve_cache_key(sc, options),
-          legacy_v1_solve_cache_key(sc, options)}) {
-      if (legacy.has_value() &&
-          std::filesystem::exists(entry_path(*legacy))) {
-        outcome = CacheLookup::kStale;
-        break;
-      }
-    }
-  }
+  const CacheLookup outcome =
+      classify_entry(entry_path(key), key, [&](const json::Value& entry) {
+        result = decode_bound_result(entry.at("result"));
+      });
   count(outcome);
   return outcome;
 }
@@ -189,17 +197,11 @@ CacheLookup ResultCache::lookup(const e2e::Scenario& sc,
 CacheLookup ResultCache::lookup_profile(const std::string& key,
                                         e2e::DelayProfile& profile) {
   const CacheLookup outcome =
-      read_profile_entry(entry_path(key), key, profile);
+      classify_entry(entry_path(key), key, [&](const json::Value& entry) {
+        profile = decode_delay_profile(entry.at("profile"));
+      });
   count(outcome);
   return outcome;
-}
-
-CacheLookup ResultCache::lookup_profile(const e2e::Scenario& sc,
-                                        std::span<const double> epsilons,
-                                        const SolveOptions& options,
-                                        e2e::DelayProfile& profile) {
-  // Profiles are new in schema 5: no legacy slots to probe.
-  return lookup_profile(profile_cache_key(sc, epsilons, options), profile);
 }
 
 void ResultCache::store(const std::string& key,
@@ -242,15 +244,15 @@ void ResultCache::write_entry(const std::string& key,
   ++stats_.stores;
 }
 
-bool ResultCache::try_store(const std::string& key,
-                            const e2e::BoundResult& result) noexcept {
+template <typename Store>
+bool ResultCache::try_write(Store&& store) noexcept {
   if (injected_store_failures_ > 0) {
     --injected_store_failures_;
     ++stats_.store_failures;
     return false;
   }
   try {
-    store(key, result);
+    store();
     return true;
   } catch (...) {
     ++stats_.store_failures;
@@ -258,20 +260,14 @@ bool ResultCache::try_store(const std::string& key,
   }
 }
 
+bool ResultCache::try_store(const std::string& key,
+                            const e2e::BoundResult& result) noexcept {
+  return try_write([&] { store(key, result); });
+}
+
 bool ResultCache::try_store_profile(const std::string& key,
                                     const e2e::DelayProfile& profile) noexcept {
-  if (injected_store_failures_ > 0) {
-    --injected_store_failures_;
-    ++stats_.store_failures;
-    return false;
-  }
-  try {
-    store_profile(key, profile);
-    return true;
-  } catch (...) {
-    ++stats_.store_failures;
-    return false;
-  }
+  return try_write([&] { store_profile(key, profile); });
 }
 
 }  // namespace deltanc::io

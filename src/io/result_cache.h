@@ -3,41 +3,43 @@
 // Keying: entries are addressed by the canonical cache key of
 // io::solve_cache_key (the compact JSON dump of the effective scenario +
 // solve options) hashed with 64-bit FNV-1a into the file name
-// `<16 hex digits>.json` under the cache directory.  The full key string
-// is stored *inside* each entry and compared on lookup, so a hash
-// collision degrades to a miss, never to a wrong answer.
+// `<16 hex digits>.json`.  The full key string is stored *inside* each
+// entry and compared on lookup, so a hash collision degrades to a miss,
+// never to a wrong answer.
 //
-// Versioning: each entry records the library version
-// (DELTANC_VERSION_STRING) and the wire schema it was written with.
-// Neither is hashed into the key: a lookup that finds an entry from
-// another library or schema version classifies it as *stale* --
-// observable in CacheStats and in the per-result
-// SolveStats::cache_stale counter -- re-solves, and overwrites, instead
-// of silently missing and leaving dead files behind.  Older schemas
-// keyed differently (schema 4 lacked the "kind" discriminator; schema 1
-// hashed the schema version itself; schema 2 lacked the scheduler
-// "params" array), so their file names differ from today's for the same
-// solve; the (scenario, options) lookup overload probes the byte-exact
-// schema-4 / -3 / -2 / -1 keys (io::legacy_v4_solve_cache_key and
-// friends) when the primary slot is empty and classifies pre-refactor
-// entries as stale too, never as wrong hits.
+// Layout: entries live at `<dir>/v<kSchemaVersion>/<fnv>.json`, one
+// directory per wire schema.  A schema bump therefore never opens an
+// older entry -- zero wrong hits holds by construction, and a future
+// bump costs no code.  Entries of other epochs (the flat pre-epoch
+// layout directly under `<dir>`, or another `v<N>/`) are left alone and
+// counted by foreign_entries(), so they stay visible.
+//
+// Versioning: each entry also records the library version
+// (DELTANC_VERSION_STRING) and the wire schema it was written with.  An
+// entry in the current directory from another library version (or with
+// a doctored schema field) classifies as *stale* -- observable in
+// CacheStats and in the response's "cache" tag -- re-solves, and is
+// overwritten.
+//
+// Answers only: an entry holds exactly the encoded BoundResult /
+// DelayProfile, a pure function of its key.  How a response was
+// obtained is the caller's to record (CacheLookup, CacheStats), never
+// part of the stored bytes.
 //
 // Profiles: delay profiles (e2e::DelayProfile) are first-class entries
 // addressed by io::profile_cache_key -- a disjoint key space thanks to
 // the "kind" discriminator -- with the same staleness, doctoring, and
-// atomic-store semantics as scalar entries.  Profiles are new in schema
-// 5, so their lookups have no legacy chain to probe.
+// atomic-store semantics as scalar entries.
 //
-// Durability: stores write to `<name>.tmp.<pid>` in the cache directory
-// and rename(2) into place, so concurrent writers and crashes can leave
-// at worst a stray tmp file, never a torn entry.  An entry that fails to
-// read or decode is classified kCorrupt (surfaced by the batch layer as
-// a diag::kCorruptCache warning) and is overwritten by the re-solve.
+// Durability: stores write to `<name>.tmp.<pid>` next to the entry and
+// rename(2) into place, so concurrent writers and crashes can leave at
+// worst a stray tmp file, never a torn entry.  An entry that fails to
+// read or decode is classified kCorrupt and is overwritten by the
+// re-solve.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <span>
 #include <string>
 
@@ -72,6 +74,8 @@ struct CacheStats {
     return hits + misses + stale + corrupt;
   }
   CacheStats& operator+=(const CacheStats& other) noexcept;
+  /// Field-wise difference (e.g. one run's traffic: after -= before).
+  CacheStats& operator-=(const CacheStats& other) noexcept;
 };
 
 /// One slice of the cache keyspace: shard `index` of `count` owns the
@@ -88,7 +92,8 @@ struct CacheShard {
 /// against each other thanks to the atomic rename stores.
 class ResultCache {
  public:
-  /// Opens (and creates if needed) the cache directory.
+  /// Opens (and creates if needed) the cache directory and its current
+  /// epoch subdirectory `v<kSchemaVersion>/`.
   /// @throws std::runtime_error when the directory cannot be created.
   explicit ResultCache(std::filesystem::path dir);
 
@@ -125,8 +130,14 @@ class ResultCache {
     return dir_;
   }
 
-  /// Entry file path for a canonical key (exposed for tests that doctor
-  /// entries on disk).
+  /// Entries under `dir` that this build never opens: `*.json` files of
+  /// the flat pre-epoch layout directly in `dir`, plus those under any
+  /// `v<N>/` other than the current epoch.  0 when `dir` does not exist.
+  [[nodiscard]] static std::int64_t foreign_entries(
+      const std::filesystem::path& dir);
+
+  /// Entry file path for a canonical key, inside the current epoch
+  /// directory (exposed for tests that doctor entries on disk).
   [[nodiscard]] std::filesystem::path entry_path(std::string_view key) const;
 
   /// Looks up `key`; fills `result` only on kHit.  Every outcome bumps
@@ -134,27 +145,9 @@ class ResultCache {
   [[nodiscard]] CacheLookup lookup(const std::string& key,
                                    e2e::BoundResult& result);
 
-  /// Looks up the solve described by (scenario, options) -- the
-  /// preferred entry point: on a primary miss it additionally probes the
-  /// schema-4 / -3 / -2 / -1 slots of the same solve and classifies a
-  /// pre-refactor entry found there as kStale (re-solve and overwrite at
-  /// the current key) instead of a silent miss.  Fills `result` only on
-  /// kHit.
-  [[nodiscard]] CacheLookup lookup(const e2e::Scenario& sc,
-                                   const SolveOptions& options,
-                                   e2e::BoundResult& result);
-
   /// Looks up a delay-profile entry by canonical profile key; fills
-  /// `profile` only on kHit.  Profiles are new in schema 5: there is no
-  /// legacy chain, so the two profile-lookup flavors classify
-  /// identically.
+  /// `profile` only on kHit.
   [[nodiscard]] CacheLookup lookup_profile(const std::string& key,
-                                           e2e::DelayProfile& profile);
-
-  /// Looks up the profile described by (scenario, epsilons, options).
-  [[nodiscard]] CacheLookup lookup_profile(const e2e::Scenario& sc,
-                                           std::span<const double> epsilons,
-                                           const SolveOptions& options,
                                            e2e::DelayProfile& profile);
 
   /// Stores (overwriting any previous entry -- including stale and
@@ -182,44 +175,26 @@ class ResultCache {
   void fail_next_stores(int n) noexcept { injected_store_failures_ += n; }
 
   /// Convenience: lookup by (scenario, options); on anything but a hit,
-  /// solves via `solve` and stores the result.  The returned result's
-  /// stats carry exactly one of cache_hits/cache_misses/cache_stale = 1
-  /// (kCorrupt counts as a miss there; the distinct outcome is reported
-  /// through `outcome` and CacheStats).
+  /// solves via `solve` and stores the result.  The returned result
+  /// encodes identically whichever way it was obtained (only the
+  /// in-process timings differ); `outcome` says which way that was.
   template <typename Solve>
   e2e::BoundResult solve_through(const e2e::Scenario& sc,
                                  const SolveOptions& options, Solve&& solve,
                                  CacheLookup* outcome = nullptr) {
     const std::string key = solve_cache_key(sc, options);
     e2e::BoundResult result;
-    const CacheLookup found = lookup(sc, options, result);
+    const CacheLookup found = lookup(key, result);
     if (outcome != nullptr) *outcome = found;
-    if (found == CacheLookup::kHit) {
-      result.stats.cache_hits = 1;
-      result.stats.cache_misses = 0;
-      result.stats.cache_stale = 0;
-      return result;
-    }
+    if (found == CacheLookup::kHit) return result;
     result = solve();
-    // Persist with the outcome counters zeroed: they describe how one
-    // particular answer was obtained, not the result itself.
-    result.stats.cache_hits = 0;
-    result.stats.cache_misses = 0;
-    result.stats.cache_stale = 0;
     store(key, result);
-    if (found == CacheLookup::kStale) {
-      result.stats.cache_stale = 1;
-    } else {
-      result.stats.cache_misses = 1;
-    }
     return result;
   }
 
   /// Profile counterpart of solve_through: lookup by (scenario,
   /// epsilons, options); on anything but a hit, solves the whole profile
-  /// via `solve` and stores it.  The returned profile's aggregate stats
-  /// carry exactly one of cache_hits/cache_misses/cache_stale = 1, same
-  /// contract as the scalar flavor.
+  /// via `solve` and stores it.
   template <typename Solve>
   e2e::DelayProfile solve_profile_through(const e2e::Scenario& sc,
                                           std::span<const double> epsilons,
@@ -230,22 +205,9 @@ class ResultCache {
     e2e::DelayProfile profile;
     const CacheLookup found = lookup_profile(key, profile);
     if (outcome != nullptr) *outcome = found;
-    if (found == CacheLookup::kHit) {
-      profile.stats.cache_hits = 1;
-      profile.stats.cache_misses = 0;
-      profile.stats.cache_stale = 0;
-      return profile;
-    }
+    if (found == CacheLookup::kHit) return profile;
     profile = solve();
-    profile.stats.cache_hits = 0;
-    profile.stats.cache_misses = 0;
-    profile.stats.cache_stale = 0;
     store_profile(key, profile);
-    if (found == CacheLookup::kStale) {
-      profile.stats.cache_stale = 1;
-    } else {
-      profile.stats.cache_misses = 1;
-    }
     return profile;
   }
 
@@ -253,18 +215,14 @@ class ResultCache {
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
  private:
-  /// Classifies the entry at `path` against `key` without touching
-  /// CacheStats (shared by both lookup flavors).
-  [[nodiscard]] CacheLookup read_entry(const std::filesystem::path& path,
-                                       const std::string& key,
-                                       e2e::BoundResult& result) const;
-  [[nodiscard]] CacheLookup read_profile_entry(
-      const std::filesystem::path& path, const std::string& key,
-      e2e::DelayProfile& profile) const;
   /// Shared store body: writes {"schema", "version", "key",
   /// <payload_field>: payload} via atomic tmp + rename.
   void write_entry(const std::string& key, const char* payload_field,
                    json::Value payload);
+  /// Shared try_store body: honors injected failures, runs `store`, and
+  /// counts any failure instead of throwing.
+  template <typename Store>
+  bool try_write(Store&& store) noexcept;
   void count(CacheLookup outcome) noexcept;
 
   std::filesystem::path dir_;

@@ -80,8 +80,8 @@ struct SolveService::Impl {
     Clock::time_point busy_since{};
     std::thread thread;
 
-    // The warm layers.  `memory` holds raw (outcome-free) results with
-    // FIFO eviction; `disk` is this shard's handle on the shared cache
+    // The warm layers.  `memory` holds results (the same answers the
+    // disk entries hold) with FIFO eviction; `disk` is this shard's handle on the shared cache
     // directory, swapped by reload() (retired stats accumulate the
     // traffic of replaced handles).  Profile entries live in their own
     // map (same keys cannot collide: the "kind" discriminator keeps the
@@ -236,7 +236,7 @@ struct SolveService::Impl {
                const Job& job) {
     if (job.line.is_profile()) return handle_profile(shard, solvers, job);
     const bool with_tag = !options.cache_dir.empty();
-    // Memory layer: raw results keyed by the canonical cache key.  A
+    // Memory layer: solved results keyed by the canonical cache key.  A
     // hit reports "hit" when a disk cache is attached (the batch
     // baseline would hit disk) and "miss" otherwise (the baseline
     // would re-solve; results are deterministic, so bytes still match).
@@ -246,11 +246,10 @@ struct SolveService::Impl {
       if (it != shard.memory.end()) {
         bump(&ServeStats::served);
         bump(&ServeStats::memory_hits);
-        e2e::BoundResult result = it->second;
         const io::CacheLookup outcome =
             with_tag ? io::CacheLookup::kHit : io::CacheLookup::kMiss;
-        io::apply_cache_outcome(result, outcome, job.line.key);
-        return io::make_ok_response(job.line.id, with_tag, outcome, result);
+        return io::make_ok_response(job.line.id, with_tag, outcome,
+                                    it->second);
       }
     }
     // Disk layer.
@@ -259,21 +258,19 @@ struct SolveService::Impl {
       e2e::BoundResult cached;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
-        outcome = shard.disk->lookup(job.line.scenario, job.line.options,
-                                     cached);
+        outcome = shard.disk->lookup(job.line.key, cached);
       }
       if ((outcome == io::CacheLookup::kHit ||
            outcome == io::CacheLookup::kStale) &&
           faults.corrupt_next_load()) {
         // Injected corruption: pretend the entry's bytes were
-        // unreadable so the kCorrupt recovery path (re-solve + warning
-        // + overwrite) runs under load on demand.
+        // unreadable so the kCorrupt recovery path (re-solve +
+        // overwrite) runs under load on demand.
         outcome = io::CacheLookup::kCorrupt;
       }
       if (outcome == io::CacheLookup::kHit) {
         bump(&ServeStats::served);
         memory_insert(shard, job.line.key, cached);
-        io::apply_cache_outcome(cached, outcome, job.line.key);
         return io::make_ok_response(job.line.id, true, outcome, cached);
       }
     }
@@ -307,10 +304,8 @@ struct SolveService::Impl {
     }
     if (!p.ok) bump(&ServeStats::failed);
     if (p.ok) {
-      // Persist and warm with the counters still zeroed -- they
-      // describe how *this* response was obtained, not the result.  A
-      // failed store is a counted solve-through; the service keeps
-      // answering (graceful degradation, satellite of ISSUE 8).
+      // A failed store is a counted solve-through; the service keeps
+      // answering (graceful degradation).
       bool stored = true;
       if (with_tag) {
         std::lock_guard<std::mutex> lock(shard.mu);
@@ -322,7 +317,6 @@ struct SolveService::Impl {
       // (which misses and re-solves).
       if (stored) memory_insert(shard, job.line.key, p.bound);
     }
-    io::apply_cache_outcome(p.bound, outcome, job.line.key);
     return io::make_ok_response(job.line.id, with_tag, outcome, p.bound);
   }
 
@@ -339,12 +333,10 @@ struct SolveService::Impl {
       if (it != shard.profile_memory.end()) {
         bump(&ServeStats::served);
         bump(&ServeStats::memory_hits);
-        e2e::DelayProfile profile = it->second;
         const io::CacheLookup outcome =
             with_tag ? io::CacheLookup::kHit : io::CacheLookup::kMiss;
-        io::apply_cache_outcome(profile, outcome, job.line.key);
         return io::make_ok_profile_response(job.line.id, with_tag, outcome,
-                                            profile);
+                                            it->second);
       }
     }
     io::CacheLookup outcome = io::CacheLookup::kMiss;
@@ -362,7 +354,6 @@ struct SolveService::Impl {
       if (outcome == io::CacheLookup::kHit) {
         bump(&ServeStats::served);
         profile_memory_insert(shard, job.line.key, cached);
-        io::apply_cache_outcome(cached, outcome, job.line.key);
         return io::make_ok_profile_response(job.line.id, true, outcome,
                                             cached);
       }
@@ -382,7 +373,6 @@ struct SolveService::Impl {
         profile_memory_insert(shard, job.line.key, answer.profile);
       }
     }
-    io::apply_cache_outcome(answer.profile, outcome, job.line.key);
     return io::make_ok_profile_response(job.line.id, with_tag, outcome,
                                         answer.profile);
   }

@@ -29,12 +29,12 @@
 //     -- answers kWorkerLost instead of dropping the request.
 //   * Cache misbehavior degrades gracefully: a failed store (full
 //     disk) is a counted solve-through (CacheStats::store_failures), a
-//     corrupt entry re-solves with the same kCorruptCache recovery
-//     warning the batch path emits.
+//     corrupt entry re-solves and is tagged "cache":"corrupt", exactly
+//     as on the batch path.
 //   * drain() (SIGTERM) stops intake, answers everything already
 //     accepted, and joins all threads; reload() (SIGHUP) drops the
-//     in-memory warm layer and reopens the disk caches for schema
-//     bumps without restarting the process.
+//     in-memory warm layer and reopens the disk caches without
+//     restarting the process.
 //
 // The service is transport-free: submit() takes a raw JSONL request
 // line plus a sink that receives exactly one JSONL response line
@@ -127,9 +127,9 @@ class SolveService {
   void submit(const std::string& line, Sink sink);
 
   /// SIGHUP handler: drops every worker's in-memory warm layer and
-  /// reopens the disk caches (accumulated CacheStats survive), so a
-  /// schema bump or an externally doctored cache directory takes
-  /// effect without restarting the service.
+  /// reopens the disk caches (accumulated CacheStats survive), so an
+  /// externally doctored cache directory takes effect without
+  /// restarting the service.
   void reload();
 
   /// SIGTERM handler: stops intake (further submits answer kOverload

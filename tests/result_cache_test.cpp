@@ -1,5 +1,7 @@
-// The persistent result cache: content addressing, hit/miss/stale/
-// corrupt classification, atomic stores, and recovery by overwrite.
+// The persistent result cache: content addressing, the per-schema epoch
+// layout, hit/miss/stale/corrupt classification, atomic stores, and
+// recovery by overwrite.  Whatever the outcome, the answer handed back
+// encodes byte-identically to a fresh cold solve.
 #include "e2e/solver.h"
 #include "io/result_cache.h"
 
@@ -41,6 +43,18 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
   out << text;
 }
 
+/// The encoded answer of a fresh cold solve: what every cache outcome
+/// must hand back byte for byte.
+std::string cold_bytes(const e2e::Scenario& sc) {
+  return encode_bound_result(deltanc::Solver().solve(sc)).dump();
+}
+
+std::string cold_profile_bytes(const e2e::Scenario& sc,
+                               const std::vector<double>& grid) {
+  return encode_delay_profile(deltanc::Solver().solve_profile(sc, grid))
+      .dump();
+}
+
 class ResultCacheTest : public ::testing::Test {
  protected:
   std::filesystem::path cache_dir() const {
@@ -52,6 +66,46 @@ class ResultCacheTest : public ::testing::Test {
 
   void SetUp() override { std::filesystem::remove_all(cache_dir()); }
   void TearDown() override { std::filesystem::remove_all(cache_dir()); }
+
+  /// An entry as a schema-`schema` build wrote it, found where it can
+  /// sit today: at the flat pre-epoch path of the current key (never
+  /// opened -- a miss, counted foreign) and copied into the current
+  /// epoch at the current key's own slot (the per-entry schema check
+  /// classifies it stale).  Neither is ever served; the re-solve
+  /// overwrites the slot with the bytes of a cold solve.
+  void expect_old_schema_entry_never_served(int schema) {
+    const e2e::Scenario sc = small_scenario();
+    const std::string key = solve_cache_key(sc, SolveOptions{});
+    const std::string entry = "{\"schema\":" + std::to_string(schema) +
+                              ",\"version\":\"1.0.0\",\"key\":\"x\","
+                              "\"result\":{}}\n";
+    ResultCache cache(cache_dir());
+    const std::filesystem::path slot = cache.entry_path(key);
+    const std::filesystem::path flat = cache_dir() / slot.filename();
+    std::filesystem::create_directories(slot.parent_path());
+    write_file(flat, entry);
+
+    e2e::BoundResult out;
+    out.delay_ms = -1.0;
+    EXPECT_EQ(cache.lookup(key, out), CacheLookup::kMiss);
+    EXPECT_EQ(ResultCache::foreign_entries(cache_dir()), 1);
+
+    write_file(slot, entry);
+    EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
+    EXPECT_EQ(out.delay_ms, -1.0);  // never serves bits from an old entry
+    EXPECT_EQ(cache.stats().hits, 0);
+    EXPECT_EQ(cache.stats().stale, 1);
+
+    CacheLookup outcome{};
+    const e2e::BoundResult solved = cache.solve_through(
+        sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
+        &outcome);
+    EXPECT_EQ(outcome, CacheLookup::kStale);
+    EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
+    EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+    EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
+    EXPECT_EQ(read_file(flat), entry);  // the flat copy is never touched
+  }
 };
 
 TEST_F(ResultCacheTest, Fnv1a64MatchesKnownVectors) {
@@ -81,6 +135,11 @@ TEST_F(ResultCacheTest, MissThenStoreThenBitExactHit) {
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().stores, 1);
 
+  EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
+  // The entry lives in the current schema's epoch directory.
+  EXPECT_EQ(cache.entry_path(key).parent_path(),
+            cache_dir() / ("v" + std::to_string(kSchemaVersion)));
+
   // A second ResultCache over the same directory sees the entry too.
   ResultCache reopened(cache_dir());
   EXPECT_EQ(reopened.lookup(key, out), CacheLookup::kHit);
@@ -105,15 +164,17 @@ TEST_F(ResultCacheTest, VersionDriftClassifiesAsStaleAndIsOverwritten) {
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
   EXPECT_EQ(cache.stats().stale, 1);
 
-  // solve_through re-solves, tags the result stale, and overwrites the
-  // entry so the next lookup hits again.
+  // solve_through re-solves, reports the stale outcome, and overwrites
+  // the entry so the next lookup hits again.  The answer carries no
+  // trace of the episode.
   CacheLookup outcome{};
   const e2e::BoundResult solved = cache.solve_through(
       sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
       &outcome);
   EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(solved.stats.cache_stale, 1);
+  EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+  EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
 }
 
 TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
@@ -122,8 +183,9 @@ TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
   const std::string key = solve_cache_key(sc, SolveOptions{});
   cache.store(key, deltanc::Solver().solve(sc));
 
-  // The schema version lives in the entry, not in the hashed key, so a
-  // schema bump is observable as staleness instead of a silent miss.
+  // The schema version lives in the entry (and names the epoch
+  // directory), not in the hashed key; a doctored schema field inside
+  // the current epoch is still caught by the per-entry check.
   EXPECT_EQ(key.find("\"schema\""), std::string::npos);
   std::string text = read_file(cache.entry_path(key));
   const std::string current =
@@ -136,134 +198,86 @@ TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
 }
 
-TEST_F(ResultCacheTest, PreRefactorEntryClassifiesStaleNeverWrongHit) {
-  ResultCache cache(cache_dir());
+TEST_F(ResultCacheTest, OldLayoutsAreNeverOpenedAndCountedForeign) {
+  // A fully valid entry -- current schema, current library version, the
+  // exact current key -- planted where older builds kept their entries:
+  // the flat pre-epoch layout directly under the cache directory, and
+  // the schema-5 epoch directory.  Neither is ever opened, so neither
+  // can be served; both stay visible through foreign_entries().
   const e2e::Scenario sc = small_scenario();
-  const SolveOptions options{};
+  const std::string key = solve_cache_key(sc, SolveOptions{});
+  std::filesystem::path current;
+  {
+    ResultCache writer(cache_dir());
+    writer.store(key, deltanc::Solver().solve(sc));
+    current = writer.entry_path(key);
+  }
+  const std::string entry = read_file(current);
+  ASSERT_FALSE(entry.empty());
+  const std::filesystem::path flat = cache_dir() / current.filename();
+  const std::filesystem::path v5 = cache_dir() / "v5" / current.filename();
+  std::filesystem::create_directories(v5.parent_path());
+  write_file(flat, entry);
+  write_file(v5, entry);
+  std::filesystem::remove(current);
+  EXPECT_EQ(ResultCache::foreign_entries(cache_dir()), 2);
 
-  // Schema-1 keys hashed the schema and spelled the scheduler as a bare
-  // name, so the same solve lived in a different slot.  Fabricate such
-  // an entry the way a pre-refactor build would have left it.
-  const std::optional<std::string> legacy =
-      legacy_v1_solve_cache_key(sc, options);
-  ASSERT_TRUE(legacy.has_value());
-  const std::string key = solve_cache_key(sc, options);
-  ASSERT_NE(*legacy, key);
-  write_file(cache.entry_path(*legacy),
-             "{\"schema\":1,\"version\":\"1.0.0\",\"key\":\"x\","
-             "\"result\":{}}\n");
-
-  // The scenario-level lookup reports it stale -- and never serves bits
-  // from it.
+  ResultCache cache(cache_dir());
   e2e::BoundResult out;
   out.delay_ms = -1.0;
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kStale);
-  EXPECT_EQ(out.delay_ms, -1.0);
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kMiss);
+  EXPECT_EQ(out.delay_ms, -1.0);  // never serves bits from an old layout
   EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.stats().stale, 1);
 
-  // solve_through re-solves, tags the answer stale, and stores it under
-  // the *current* key, so the next lookup is a plain hit.
+  // The re-solve lands in the current epoch; the planted copies stay
+  // foreign (never overwritten, never read).
   CacheLookup outcome{};
   const e2e::BoundResult solved = cache.solve_through(
-      sc, options, [&] { return deltanc::Solver().solve(sc); }, &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(solved.stats.cache_stale, 1);
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kHit);
-  EXPECT_EQ(out.delay_ms, solved.delay_ms);
+      sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
+      &outcome);
+  EXPECT_EQ(outcome, CacheLookup::kMiss);
+  EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+  EXPECT_EQ(ResultCache::foreign_entries(cache_dir()), 2);
+  EXPECT_EQ(read_file(flat), entry);
+
+  // Stray tmp files and the current epoch are not foreign; a missing
+  // directory has no foreign entries.
+  write_file(cache_dir() / "v5" / "0123.json.tmp.42", "partial");
+  EXPECT_EQ(ResultCache::foreign_entries(cache_dir()), 2);
+  EXPECT_EQ(ResultCache::foreign_entries(cache_dir() / "absent"), 0);
+}
+
+// Entries of the schemas that were once probed through legacy keys:
+// schema 1 (pre-refactor), 2 (scheduler without "params") and 4 (key
+// without the "kind" discriminator).
+TEST_F(ResultCacheTest, PreRefactorEntryClassifiesStaleNeverWrongHit) {
+  expect_old_schema_entry_never_served(1);
 }
 
 TEST_F(ResultCacheTest, SchemaTwoEntryClassifiesStaleNeverWrongHit) {
-  ResultCache cache(cache_dir());
-  const e2e::Scenario sc = small_scenario();
-  const SolveOptions options{};
+  expect_old_schema_entry_never_served(2);
+}
 
-  // Schema-2 scheduler objects carried no "params" array, so the same
-  // solve hashed to a different slot.  Fabricate the entry a schema-2
-  // build would have written there.
-  const std::optional<std::string> legacy =
-      legacy_v2_solve_cache_key(sc, options);
-  ASSERT_TRUE(legacy.has_value());
-  const std::string key = solve_cache_key(sc, options);
-  ASSERT_NE(*legacy, key);
-  // The v2 key is the v3 key minus the scheduler "params" field.
-  EXPECT_EQ(legacy->find("\"params\""), std::string::npos);
-  EXPECT_NE(key.find("\"params\""), std::string::npos);
-  write_file(cache.entry_path(*legacy),
-             "{\"schema\":2,\"version\":\"1.0.0\",\"key\":\"x\","
-             "\"result\":{}}\n");
-
-  e2e::BoundResult out;
-  out.delay_ms = -1.0;
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kStale);
-  EXPECT_EQ(out.delay_ms, -1.0);  // never serves bits from the old slot
-
-  // Re-solve lands under the current key; the old slot stops mattering.
-  CacheLookup outcome{};
-  (void)cache.solve_through(sc, options,
-                            [&] { return deltanc::Solver().solve(sc); },
-                            &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kHit);
+TEST_F(ResultCacheTest, SchemaFourEntryClassifiesStaleNeverWrongHit) {
+  expect_old_schema_entry_never_served(4);
 }
 
 TEST_F(ResultCacheTest, CurveBackedSchedulersHaveNoLegacySlots) {
-  // gps/drr/sced did not exist before schema 3: both legacy key probes
-  // must decline rather than fabricate a key that could alias another
-  // solve's slot.
+  // A curve-backed solve (NaN delta on the wire) round-trips through
+  // store + hit like any other result; the epoch layout gives it, like
+  // every solve, exactly one slot.
   e2e::Scenario sc = small_scenario();
   sc.scheduler = sched::SchedulerSpec::gps(2.0, 1.0);
-  EXPECT_FALSE(legacy_v1_solve_cache_key(sc, SolveOptions{}).has_value());
-  EXPECT_FALSE(legacy_v2_solve_cache_key(sc, SolveOptions{}).has_value());
-
-  // And the curve-backed solve (NaN delta on the wire) round-trips
-  // through store + hit like any other result.
   ResultCache cache(cache_dir());
   const std::string key = solve_cache_key(sc, SolveOptions{});
   const e2e::BoundResult solved = deltanc::Solver().solve(sc);
   ASSERT_TRUE(std::isnan(solved.delta));
   cache.store(key, solved);
   e2e::BoundResult out;
-  EXPECT_EQ(cache.lookup(sc, SolveOptions{}, out), CacheLookup::kHit);
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
   EXPECT_EQ(out.delay_ms, solved.delay_ms);
   EXPECT_TRUE(std::isnan(out.delta));
-}
-
-TEST_F(ResultCacheTest, SchemaFourEntryClassifiesStaleNeverWrongHit) {
-  ResultCache cache(cache_dir());
-  const e2e::Scenario sc = small_scenario();
-  const SolveOptions options{};
-
-  // Schema-4 keys carried no "kind" discriminator, so the same solve
-  // hashed to a different slot.  Fabricate the entry a schema-4 build
-  // would have written there.
-  const std::optional<std::string> legacy =
-      legacy_v4_solve_cache_key(sc, options);
-  ASSERT_TRUE(legacy.has_value());
-  const std::string key = solve_cache_key(sc, options);
-  ASSERT_NE(*legacy, key);
-  // The discriminator leads the v5 key; the v4 spelling starts straight
-  // at the scenario.  (The scheduler object nests its own "kind" field,
-  // so only the leading member distinguishes the two.)
-  EXPECT_EQ(key.rfind("{\"kind\":\"solve\",", 0), 0u);
-  EXPECT_EQ(legacy->rfind("{\"scenario\":", 0), 0u);
-  write_file(cache.entry_path(*legacy),
-             "{\"schema\":4,\"version\":\"1.0.0\",\"key\":\"x\","
-             "\"result\":{}}\n");
-
-  e2e::BoundResult out;
-  out.delay_ms = -1.0;
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kStale);
-  EXPECT_EQ(out.delay_ms, -1.0);  // never serves bits from the old slot
-  EXPECT_EQ(cache.stats().hits, 0);
-
-  // Re-solve lands under the current (kind-tagged) key.
-  CacheLookup outcome{};
-  (void)cache.solve_through(sc, options,
-                            [&] { return deltanc::Solver().solve(sc); },
-                            &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(cache.lookup(sc, options, out), CacheLookup::kHit);
 }
 
 // ----- delay-profile entries ---------------------------------------------
@@ -273,14 +287,15 @@ TEST_F(ResultCacheTest, ProfileMissStoreThenBitExactHit) {
   const e2e::Scenario sc = small_scenario();
   const std::vector<double> grid = {1e-3, 1e-6, 1e-9};
   const SolveOptions options{};
+  const std::string key = profile_cache_key(sc, grid, options);
 
   e2e::DelayProfile out;
-  EXPECT_EQ(cache.lookup_profile(sc, grid, options, out), CacheLookup::kMiss);
+  EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kMiss);
 
   const e2e::DelayProfile solved =
       deltanc::Solver().solve_profile(sc, grid);
-  cache.store_profile(profile_cache_key(sc, grid, options), solved);
-  ASSERT_EQ(cache.lookup_profile(sc, grid, options, out), CacheLookup::kHit);
+  cache.store_profile(key, solved);
+  ASSERT_EQ(cache.lookup_profile(key, out), CacheLookup::kHit);
   ASSERT_EQ(out.levels.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(out.epsilons[i], solved.epsilons[i]);
@@ -292,11 +307,12 @@ TEST_F(ResultCacheTest, ProfileMissStoreThenBitExactHit) {
   // Disjoint keyspaces: the profile entry is invisible to the scalar
   // lookup of the same scenario, and vice versa.
   e2e::BoundResult scalar;
-  EXPECT_EQ(cache.lookup(sc, options, scalar), CacheLookup::kMiss);
+  EXPECT_EQ(cache.lookup(solve_cache_key(sc, options), scalar),
+            CacheLookup::kMiss);
 
   ResultCache reopened(cache_dir());
-  EXPECT_EQ(reopened.lookup_profile(sc, grid, options, out),
-            CacheLookup::kHit);
+  EXPECT_EQ(reopened.lookup_profile(key, out), CacheLookup::kHit);
+  EXPECT_EQ(encode_delay_profile(out).dump(), cold_profile_bytes(sc, grid));
 }
 
 TEST_F(ResultCacheTest, ProfileEntriesClassifyStaleAndCorrupt) {
@@ -318,7 +334,7 @@ TEST_F(ResultCacheTest, ProfileEntriesClassifyStaleAndCorrupt) {
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kStale);
 
   // Unreadable bytes -> corrupt; solve_profile_through recovers by
-  // overwrite and counts the episode as a miss.
+  // overwrite, and the answer carries no trace of the episode.
   write_file(cache.entry_path(key), "{\"schema\": truncated garba");
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kCorrupt);
   CacheLookup outcome{};
@@ -326,9 +342,9 @@ TEST_F(ResultCacheTest, ProfileEntriesClassifyStaleAndCorrupt) {
       sc, grid, options,
       [&] { return deltanc::Solver().solve_profile(sc, grid); }, &outcome);
   EXPECT_EQ(outcome, CacheLookup::kCorrupt);
-  EXPECT_EQ(solved.stats.cache_misses, 1);
-  EXPECT_EQ(solved.stats.cache_hits, 0);
+  EXPECT_EQ(encode_delay_profile(solved).dump(), cold_profile_bytes(sc, grid));
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kHit);
+  EXPECT_EQ(encode_delay_profile(out).dump(), cold_profile_bytes(sc, grid));
 }
 
 TEST_F(ResultCacheTest, SolveProfileThroughCountsExactlyOneOutcome) {
@@ -342,18 +358,16 @@ TEST_F(ResultCacheTest, SolveProfileThroughCountsExactlyOneOutcome) {
   const e2e::DelayProfile first =
       cache.solve_profile_through(sc, grid, options, solve, &outcome);
   EXPECT_EQ(outcome, CacheLookup::kMiss);
-  EXPECT_EQ(first.stats.cache_misses, 1);
-  EXPECT_EQ(first.stats.cache_hits + first.stats.cache_stale, 0);
+  EXPECT_EQ(cache.stats().lookups(), 1);
 
   const e2e::DelayProfile second =
       cache.solve_profile_through(sc, grid, options, solve, &outcome);
   EXPECT_EQ(outcome, CacheLookup::kHit);
-  EXPECT_EQ(second.stats.cache_hits, 1);
-  EXPECT_EQ(second.stats.cache_misses + second.stats.cache_stale, 0);
-  ASSERT_EQ(second.levels.size(), first.levels.size());
-  for (std::size_t i = 0; i < first.levels.size(); ++i) {
-    EXPECT_EQ(second.levels[i].delay_ms, first.levels[i].delay_ms);
-  }
+  EXPECT_EQ(cache.stats().lookups(), 2);
+  EXPECT_EQ(cache.stats().hits, 1);
+  // The outcome lives beside the answer, never inside it.
+  EXPECT_EQ(encode_delay_profile(first).dump(), cold_profile_bytes(sc, grid));
+  EXPECT_EQ(encode_delay_profile(second).dump(), cold_profile_bytes(sc, grid));
 }
 
 TEST_F(ResultCacheTest, TryStoreProfileSurvivesInjectedFailures) {
@@ -371,20 +385,21 @@ TEST_F(ResultCacheTest, TryStoreProfileSurvivesInjectedFailures) {
 
   EXPECT_TRUE(cache.try_store_profile(key, solved));
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kHit);
+  EXPECT_EQ(encode_delay_profile(out).dump(), cold_profile_bytes(sc, grid));
 }
 
 TEST_F(ResultCacheTest, SimulationLoweringsDoNotPerturbSolverKeys) {
   // The DRR/SCED simulation lowerings added sim-side config fields only;
   // the solver cache key is a function of the *scenario*, so those
-  // lowerings did not bump the schema.  Solver-side fields do: the
-  // warm-start policy in SolveOptions took the schema from 3 to 4, and
-  // the "kind"-discriminated cache keys plus delay-profile documents
-  // took it from 4 to 5, each with a byte-exact legacy probe
-  // (legacy_v3 / legacy_v4) for stale-schema hits (see io/codec.h).
-  static_assert(kSchemaVersion == 5,
+  // lowerings did not bump the schema.  Wire-format changes do: the
+  // warm-start policy in SolveOptions took the schema from 3 to 4, the
+  // "kind"-discriminated keys and delay-profile documents from 4 to 5,
+  // and provenance-free stats with the epoch layout from 5 to 6 (see
+  // io/codec.h).
+  static_assert(kSchemaVersion == 6,
                 "sim-side config fields must not bump the cache schema; "
-                "the schema-5 bump came from the kind-tagged keys and "
-                "delay-profile documents");
+                "the schema-6 bump came from provenance-free stats and "
+                "the per-schema epoch directories");
   ResultCache cache(cache_dir());
   for (const sched::SchedulerSpec& spec :
        {sched::SchedulerSpec::drr(2.0, 1.0), sched::SchedulerSpec::sced(),
@@ -394,7 +409,7 @@ TEST_F(ResultCacheTest, SimulationLoweringsDoNotPerturbSolverKeys) {
     const std::string key = solve_cache_key(sc, SolveOptions{});
     cache.store(key, deltanc::Solver().solve(sc));
     e2e::BoundResult out;
-    EXPECT_EQ(cache.lookup(sc, SolveOptions{}, out), CacheLookup::kHit)
+    EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit)
         << sched::to_string(spec);
     // The key must also be reproducible from an identical scenario
     // value (content addressing, not object identity).
@@ -427,11 +442,13 @@ TEST_F(ResultCacheTest, CorruptEntryIsDetectedAndRecoverable) {
 
   // Recovery: solve_through overwrites the damaged entry.
   CacheLookup outcome{};
-  (void)cache.solve_through(sc, SolveOptions{},
-                            [&] { return deltanc::Solver().solve(sc); },
-                            &outcome);
+  const e2e::BoundResult solved = cache.solve_through(
+      sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
+      &outcome);
   EXPECT_EQ(outcome, CacheLookup::kCorrupt);
+  EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+  EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
 }
 
 TEST_F(ResultCacheTest, HashCollisionDegradesToMissNotWrongAnswer) {
@@ -462,16 +479,19 @@ TEST_F(ResultCacheTest, SolveThroughCountsOneOutcomePerResult) {
     ++solves;
     return deltanc::Solver().solve(sc);
   };
+  CacheLookup outcome{};
   const e2e::BoundResult first =
-      cache.solve_through(sc, SolveOptions{}, solve);
-  EXPECT_EQ(first.stats.cache_misses, 1);
-  EXPECT_EQ(first.stats.cache_hits, 0);
+      cache.solve_through(sc, SolveOptions{}, solve, &outcome);
+  EXPECT_EQ(outcome, CacheLookup::kMiss);
   const e2e::BoundResult second =
-      cache.solve_through(sc, SolveOptions{}, solve);
-  EXPECT_EQ(second.stats.cache_hits, 1);
-  EXPECT_EQ(second.stats.cache_misses, 0);
-  EXPECT_EQ(second.delay_ms, first.delay_ms);
+      cache.solve_through(sc, SolveOptions{}, solve, &outcome);
+  EXPECT_EQ(outcome, CacheLookup::kHit);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(solves, 1);  // the hit never invoked the solver
+  // Same answer bytes either way: nothing about the lookup leaks in.
+  EXPECT_EQ(encode_bound_result(first).dump(), cold_bytes(sc));
+  EXPECT_EQ(encode_bound_result(second).dump(), cold_bytes(sc));
 }
 
 TEST_F(ResultCacheTest, DirectoryFromEnvPrefersTheVariable) {

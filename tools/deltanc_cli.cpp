@@ -411,6 +411,7 @@ int run_batch_mode(const std::string& path, int threads, e2e::Method method,
   const std::filesystem::path dir =
       cache_dir.empty() ? io::ResultCache::directory_from_env({})
                         : std::filesystem::path(cache_dir);
+  std::int64_t foreign = 0;  // other schemas' entries, never opened
   if (!dir.empty()) {
     try {
       cache.emplace(dir);
@@ -418,6 +419,7 @@ int run_batch_mode(const std::string& path, int threads, e2e::Method method,
       std::fprintf(stderr, "deltanc_cli: %s\n", e.what());
       return 2;
     }
+    foreign = io::ResultCache::foreign_entries(dir);
   }
 
   io::BatchOptions options;
@@ -442,13 +444,15 @@ int run_batch_mode(const std::string& path, int threads, e2e::Method method,
     const io::CacheStats& cs = summary.cache_stats;
     std::fprintf(stderr,
                  "cache: dir=%s hits=%lld misses=%lld stale=%lld "
-                 "corrupt=%lld stores=%lld store_failures=%lld\n",
+                 "corrupt=%lld stores=%lld store_failures=%lld "
+                 "foreign=%lld\n",
                  cache->directory().c_str(), static_cast<long long>(cs.hits),
                  static_cast<long long>(cs.misses),
                  static_cast<long long>(cs.stale),
                  static_cast<long long>(cs.corrupt),
                  static_cast<long long>(cs.stores),
-                 static_cast<long long>(cs.store_failures));
+                 static_cast<long long>(cs.store_failures),
+                 static_cast<long long>(foreign));
     if (cs.store_failures > 0) {
       std::fprintf(stderr,
                    "warning: %lld cache store(s) failed; those results were "
@@ -560,6 +564,11 @@ int run_serve_mode(const ServeCliOptions& cli, int threads,
     std::fprintf(stderr, "deltanc_cli: %s\n", e.what());
     return 2;
   }
+  // Other schemas' entries, never opened; counted once at start-up.
+  const std::int64_t foreign =
+      options.cache_dir.empty()
+          ? 0
+          : io::ResultCache::foreign_entries(options.cache_dir);
   std::fprintf(stderr,
                "serve: listening on %s (%d worker(s), queue %zu, "
                "deadline %s, cache %s)%s%s\n",
@@ -608,13 +617,15 @@ int run_serve_mode(const ServeCliOptions& cli, int threads,
     const io::CacheStats& cs = stats.cache;
     std::fprintf(stderr,
                  "cache: dir=%s hits=%lld misses=%lld stale=%lld "
-                 "corrupt=%lld stores=%lld store_failures=%lld\n",
+                 "corrupt=%lld stores=%lld store_failures=%lld "
+                 "foreign=%lld\n",
                  options.cache_dir.c_str(), static_cast<long long>(cs.hits),
                  static_cast<long long>(cs.misses),
                  static_cast<long long>(cs.stale),
                  static_cast<long long>(cs.corrupt),
                  static_cast<long long>(cs.stores),
-                 static_cast<long long>(cs.store_failures));
+                 static_cast<long long>(cs.store_failures),
+                 static_cast<long long>(foreign));
   }
   return clean ? 0 : 2;
 }
