@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "e2e/k_procedure.h"
 #include "e2e/network_epsilon.h"
 #include "e2e/param_search.h"
+#include "e2e/scan_batch.h"
 #include "e2e/solver.h"
 #include "io/result_cache.h"
 #include "nc/minplus_ops.h"
@@ -57,9 +59,21 @@ void BM_ServiceDelayBound(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceDelayBound);
 
+// The Eq. (39) optimizer across path lengths and Delta families.  Arg 1
+// indexes kBenchDeltas: FIFO, an EDF-like negative Delta, BMUX (the
+// convex cases the band search takes on long paths, e2e/delay_bound.h)
+// and a non-convex Delta > 0, which always enumerates.
+constexpr double kBenchDeltas[] = {0.0, -50.0,
+                                   std::numeric_limits<double>::infinity(),
+                                   5.0};
+
+e2e::PathParams bench_path(std::int64_t hops, std::int64_t delta_index) {
+  return e2e::PathParams{100.0, static_cast<int>(hops), 15.0, 35.0, 0.05,
+                         1.0, kBenchDeltas[delta_index]};
+}
+
 void BM_OptimizeDelayExact(benchmark::State& state) {
-  const e2e::PathParams p{100.0, static_cast<int>(state.range(0)), 15.0,
-                          35.0,  0.05, 1.0, -5.0};
+  const e2e::PathParams p = bench_path(state.range(0), state.range(1));
   const double gamma = 0.4 * p.gamma_limit();
   const double sigma = e2e::sigma_for_epsilon(p, gamma, 1e-9);
   const Solver solver{};  // reuse_workspace: allocation-free inner loop
@@ -67,7 +81,60 @@ void BM_OptimizeDelayExact(benchmark::State& state) {
     benchmark::DoNotOptimize(solver.optimize(p, gamma, sigma));
   }
 }
-BENCHMARK(BM_OptimizeDelayExact)->Arg(2)->Arg(10)->Arg(30);
+BENCHMARK(BM_OptimizeDelayExact)
+    ->ArgsProduct({{2, 5, 8, 10, 30, 40, 100, 1000}, {0, 1, 2, 3}});
+
+// The same calls through one search regardless of the dispatch: Arg 2
+// is 0 for the full enumeration, 1 for the band search (convex Delta
+// only).  The crossovers kBandSearchMinHops (finite Delta) and
+// kBandSearchMinHopsUnbounded (Delta = +/-inf) sit where the two meet.
+void BM_OptimizeDelaySearch(benchmark::State& state) {
+  const e2e::PathParams p = bench_path(state.range(0), state.range(1));
+  const double gamma = 0.4 * p.gamma_limit();
+  const double sigma = e2e::sigma_for_epsilon(p, gamma, 1e-9);
+  const bool band = state.range(2) != 0;
+  e2e::SolveWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        band ? e2e::detail::optimize_delay_band(p, gamma, sigma, ws).delay
+             : e2e::detail::optimize_delay_enumerate(p, gamma, sigma, ws)
+                   .delay);
+  }
+}
+BENCHMARK(BM_OptimizeDelaySearch)
+    ->ArgsProduct({{2, 5, 8, 10, 12, 16, 20, 40, 1000}, {0, 1, 2}, {0, 1}});
+
+// The 25-lane gamma scan of the parameter search at one s (Arg 1 indexes
+// kBenchDeltas): Arg 2 = 0 runs the SoA kernel (full enumeration per
+// lane, vectorized across lanes), 1 runs sigma(gamma) and the band
+// search lane by lane.
+void BM_GammaScan(benchmark::State& state) {
+  const e2e::PathParams p = bench_path(state.range(0), state.range(1));
+  const bool per_lane = state.range(2) != 0;
+  const e2e::SigmaForEpsilon sigma_of(p, 1e-9);
+  const double glim = p.gamma_limit();
+  std::vector<double> gammas, delays(25);
+  for (int i = 0; i <= 24; ++i) {
+    gammas.push_back(1e-4 * glim +
+                     (0.9999 - 1e-4) * glim * static_cast<double>(i) / 24);
+  }
+  e2e::GammaScanBatch batch;
+  e2e::SolveWorkspace ws;
+  for (auto _ : state) {
+    if (per_lane) {
+      for (std::size_t i = 0; i < gammas.size(); ++i) {
+        delays[i] = e2e::detail::optimize_delay_band(p, gammas[i],
+                                                     sigma_of(gammas[i]), ws)
+                        .delay;
+      }
+    } else {
+      e2e::detail::gamma_scan_exact_batch(p, sigma_of, gammas, delays, batch);
+    }
+    benchmark::DoNotOptimize(delays.data());
+  }
+}
+BENCHMARK(BM_GammaScan)
+    ->ArgsProduct({{2, 5, 8, 10, 12, 16, 20}, {0, 2}, {0, 1}});
 
 void BM_KProcedure(benchmark::State& state) {
   const e2e::PathParams p{100.0, static_cast<int>(state.range(0)), 15.0,
@@ -111,15 +178,18 @@ void BM_SweepFig2Grid(benchmark::State& state) {
   opts.threads = static_cast<int>(state.range(0));
   const SweepRunner runner(opts);
   e2e::SolveStats last_stats{};
+  int threads = 0;
   for (auto _ : state) {
     SweepReport report = runner.run(grid);
     last_stats = report.stats;
+    threads = report.threads;
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(grid.size()));
-  state.counters["threads"] =
-      static_cast<double>(runner.resolved_threads(grid.size()));
+  // The workers that ran: warm chaining runs one task per uc chain (3
+  // here), so this can be fewer than the pool size asked for.
+  state.counters["threads"] = static_cast<double>(threads);
   // Algorithmic-work counters (per grid point, not per second): a jump in
   // optimize_evals flags a search-strategy regression independent of the
   // machine; eb_evals stays low because of the per-solve memo.

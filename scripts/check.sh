@@ -278,6 +278,27 @@ echo "$stats_line" | awk '{
           v["batched_evals"] ")"; exit 1
   }
 }'
+# --- Long-path gate ------------------------------------------------------
+# The band search answers FIFO's convex Eq. (39) in O(H) per call instead
+# of the breakpoint enumeration's O(H^2), bit for bit.  An H = 1000 FIFO
+# solve must print the enumeration-only solver's CSV row byte for byte
+# (its %.17g fields pinned below) within a 15 s wall ceiling: the
+# enumeration took 46 s on a 4 x 2.1 GHz machine, the band search 0.13 s.
+long_want='0,1000,fifo,100,100,29.729729729729758,1.0000000000000001e-09,11342.877153656951,0.002220517101118093,0.079438654340001247,565787.52703709202,0'
+long_t0=$(date +%s%N)
+long_row=$(timeout 60 ./build/tools/deltanc_cli --hops 1000 --scheduler fifo \
+  --csv 2>/dev/null | tail -n +2)
+long_ms=$(( ($(date +%s%N) - long_t0) / 1000000 ))
+if ! cmp -s <(echo "$long_want") <(echo "$long_row"); then
+  echo "FAIL: H=1000 fifo row moved:"
+  echo "  want: $long_want"
+  echo "  got:  $long_row"; exit 1
+fi
+if [ "$long_ms" -gt 15000 ]; then
+  echo "FAIL: H=1000 fifo solve took ${long_ms} ms (ceiling 15000 ms)"; exit 1
+fi
+echo "long-path gate: OK (H=1000 fifo row byte-identical, ${long_ms} ms)"
+
 # --- Delay-profile gates --------------------------------------------------
 # The d(eps) profile refactor retired the one-off delay_ccdf_bound
 # series helper: Solver::solve_profile is the only spelling of the CCDF

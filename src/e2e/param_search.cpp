@@ -227,10 +227,12 @@ double minimize_scalar(F f, double lo, double hi, int scan_points,
 /// of inside every evaluation of the inner golden-section search.
 ///
 /// The 25-point coarse scan runs through the SoA SIMD kernel
-/// (e2e/scan_batch.h) for the exact optimizer; the K-procedure (whose
-/// inner K search is data-dependent) and the DELTANC_SIMD=off reference
-/// mode keep the historical scalar loop.  Both produce bit-identical
-/// values, so the golden refinement that follows is shared.
+/// (e2e/scan_batch.h) for the exact optimizer on paths shorter than the
+/// band-search crossover (e2e/delay_bound.h).  The K-procedure (whose
+/// inner K search is data-dependent), long paths with a convex objective
+/// (where the per-lane band search beats the kernel's enumeration) and
+/// the DELTANC_SIMD=off reference mode keep the scalar loop.  All produce
+/// bit-identical values, so the golden refinement that follows is shared.
 double best_over_gamma(SearchContext& ctx, double delta, double s,
                        double eb_s, double* best_gamma) {
   const PathParams p = params_from_eb(ctx, s, eb_s, delta);
@@ -245,7 +247,8 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
   const int kGoldenIters = ctx.local_now ? 24 : 48;
   double best_x = lo;
   double best_v = kInf;
-  if (ctx.method == Method::kExactOpt && ctx.use_simd) {
+  if (ctx.method == Method::kExactOpt && ctx.use_simd &&
+      !uses_band_search(p)) {
     const std::size_t lanes = kScanPoints + 1;
     ctx.scan_gammas.resize(lanes);
     ctx.scan_delays.resize(lanes);

@@ -56,9 +56,18 @@ struct DelayResult {
 /// each call overwrites it completely -- so a default-constructed one is
 /// always valid input.
 struct SolveWorkspace {
+  /// One objective evaluation of the band search (e2e/delay_bound.h):
+  /// the candidate's position in the enumeration's push order, X, f(X).
+  struct Visit {
+    int key;
+    double x;
+    double f;
+  };
   std::vector<double> candidates;  ///< breakpoint candidates of Eq. (39)
   std::vector<double> node_cap;    ///< per-node C - (h-1) gamma
   std::vector<double> node_slack;  ///< per-node C - rho_c - h gamma
+  std::vector<Visit> visits;       ///< band search: evaluated candidates
+  std::vector<Visit> band;         ///< band search: distinct X, sorted
   DelayResult result;              ///< reused output slot (theta buffer)
 };
 

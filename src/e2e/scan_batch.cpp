@@ -68,20 +68,22 @@ void gamma_scan_exact_batch(const PathParams& p,
   }
 
   // --- Breakpoint candidates, candidate-major SoA, in the exact push
-  // order of optimize_delay.  Note the candidate formulas use
-  // slack = node_cap - rc (a different float expression from node_slack,
-  // though mathematically equal) -- replicated verbatim.
+  // order of optimize_delay's enumeration (the bracket kink -Delta once,
+  // after the first node's first candidate).  Note the candidate
+  // formulas use slack = node_cap - rc (a different float expression
+  // from node_slack, though mathematically equal) -- replicated verbatim.
   const bool positive_delta = p.delta > 0.0;
   const bool finite_delta = std::isfinite(p.delta);
-  const std::size_t per_hop = finite_delta ? 3 : 1;
-  const std::size_t n_cand = 1 + hops * per_hop;
+  const bool kinked = finite_delta && !positive_delta;
+  const std::size_t per_hop = finite_delta ? (kinked ? 2 : 3) : 1;
+  const std::size_t n_cand = 1 + hops * per_hop + (kinked ? 1 : 0);
   batch.cand.resize(n_cand * lanes);
   double* const cand = batch.cand.data();
 #pragma omp simd
   for (std::size_t g = 0; g < lanes; ++g) cand[g] = 0.0;
+  double* row = cand + lanes;
   for (std::size_t h0 = 0; h0 < hops; ++h0) {
     const double* const cap = batch.node_cap.data() + h0 * lanes;
-    double* const row = cand + (1 + h0 * per_hop) * lanes;
     if (positive_delta) {
 #pragma omp simd
       for (std::size_t g = 0; g < lanes; ++g) {
@@ -93,16 +95,25 @@ void gamma_scan_exact_batch(const PathParams& p,
               (sig_p[g] + rc_p[g] * p.delta) / cslack;  // theta_b = 0
         }
       }
+      row += per_hop * lanes;
     } else {
 #pragma omp simd
       for (std::size_t g = 0; g < lanes; ++g) {
         row[g] = sig_p[g] / cap[g];  // bracket empty
-        if (finite_delta) {
-          const double cslack = cap[g] - rc_p[g];
-          row[lanes + g] = -p.delta;  // bracket kink
-          row[2 * lanes + g] =
-              (sig_p[g] + rc_p[g] * p.delta) / cslack;  // theta = 0
+      }
+      row += lanes;
+      if (finite_delta) {
+        if (h0 == 0) {
+#pragma omp simd
+          for (std::size_t g = 0; g < lanes; ++g) row[g] = -p.delta;  // kink
+          row += lanes;
         }
+#pragma omp simd
+        for (std::size_t g = 0; g < lanes; ++g) {
+          const double cslack = cap[g] - rc_p[g];
+          row[g] = (sig_p[g] + rc_p[g] * p.delta) / cslack;  // theta = 0
+        }
+        row += lanes;
       }
     }
   }
