@@ -205,6 +205,44 @@ BENCHMARK(BM_SweepFig2Grid)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// The EDF fixed point on long paths: one warm 8-point uc chain (0.1 to
+// 0.8, eps = 1e-9) at H = Arg(0), the per-hop-count slice of the
+// sweep-longpath grid that the EDF iteration dominates.  The counters
+// are per uc point: optimize_evals tracks the budget of each iterate,
+// edf_iterations counts the cheap iterates plus the confirmation.
+void BM_EdfFixedPoint(benchmark::State& state) {
+  e2e::Scenario base;
+  base.hops = static_cast<int>(state.range(0));
+  base.n_through = 100;
+  base.epsilon = 1e-9;
+  SweepGrid grid(base);
+  grid.cross_utilization_axis(SweepGrid::linspace(0.10, 0.80, 8))
+      .scheduler_axis({sched::SchedulerKind::kEdf});
+  SweepOptions opts;
+  opts.threads = 1;
+  const SweepRunner runner(opts);
+  e2e::SolveStats last_stats{};
+  for (auto _ : state) {
+    SweepReport report = runner.run(grid);
+    last_stats = report.stats;
+    benchmark::DoNotOptimize(report);
+  }
+  const double points = static_cast<double>(grid.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(grid.size()));
+  state.counters["optimize_evals_per_point"] =
+      static_cast<double>(last_stats.optimize_evals) / points;
+  state.counters["edf_iterations_per_point"] =
+      static_cast<double>(last_stats.edf_iterations) / points;
+}
+BENCHMARK(BM_EdfFixedPoint)
+    ->Arg(5)
+    ->Arg(10)
+    ->Arg(20)
+    ->Arg(40)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // The headline claim of the profile engine: one warm-chained 16-level
 // d(epsilon) profile vs 16 independent cold scalar solves of the same
 // scenario.  Arg(0) selects the mode (0 = cold scalars, 1 = warm

@@ -9,9 +9,9 @@
 
 #define DELTANC_VERSION_MAJOR 1
 #define DELTANC_VERSION_MINOR 1
-#define DELTANC_VERSION_PATCH 0
+#define DELTANC_VERSION_PATCH 1
 
-#define DELTANC_VERSION_STRING "1.1.0"
+#define DELTANC_VERSION_STRING "1.1.1"
 
 namespace deltanc {
 

@@ -299,6 +299,29 @@ if [ "$long_ms" -gt 15000 ]; then
 fi
 echo "long-path gate: OK (H=1000 fifo row byte-identical, ${long_ms} ms)"
 
+# --- EDF fixed-point cost gate --------------------------------------------
+# The H = 10 EDF uc chain set the wall time of the long-path grid: every
+# fixed-point iterate used to be a full-budget (s, gamma) search, 260 832
+# theta evaluations for the 8 points.  Far-from-root iterates now run at
+# the kLocal budget and only a full-budget confirmation is accepted
+# (104 392 evaluations).  The 160 000 budget trips on any return toward
+# full-budget iterates; the chain must still converge.
+edf_stats=$(./build/tools/deltanc_cli --hops 10 --scheduler edf \
+  --epsilon 1e-9 --sweep uc=0.1:0.8:8 --stats --csv 2>&1 >/dev/null \
+  | grep '^stats:')
+echo "$edf_stats"
+echo "$edf_stats" | awk '{
+  for (i = 2; i <= NF; ++i) { split($i, kv, "="); v[kv[1]] = kv[2] }
+  if (v["edf_converged"] != "yes") {
+    print "FAIL: H=10 EDF chain did not converge"; exit 1
+  }
+  if (v["optimize_evals"] + 0 <= 0 || v["optimize_evals"] + 0 > 160000) {
+    print "FAIL: EDF fixed-point eval count regressed (optimize_evals=" \
+          v["optimize_evals"] ", budget 160000)"; exit 1
+  }
+}'
+echo "EDF fixed-point gate: OK"
+
 # --- Delay-profile gates --------------------------------------------------
 # The d(eps) profile refactor retired the one-off delay_ccdf_bound
 # series helper: Solver::solve_profile is the only spelling of the CCDF

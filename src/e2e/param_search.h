@@ -160,7 +160,9 @@ namespace detail {
 /// landed* -- consecutive profile levels differ in epsilon alone, so the
 /// optimum moves little and the full re-localization is wasted work; a
 /// missed probe silently reverts the solve to the full budget, so
-/// robustness (dense-scan fallback included) is unchanged.
+/// robustness (dense-scan fallback included) is unchanged.  The EDF fixed
+/// point also runs its far-from-root iterates at kLocal, but accepts only
+/// a solve at the request's own effort.
 enum class SearchEffort {
   kFull,   ///< historical budgets; bit-identical to pre-profile solves
   kLocal,  ///< reduced budgets around a landed warm probe (profile descent)

@@ -160,7 +160,8 @@ TEST(ParamSearch, BestForDeltaNeverWorseThanDenseScan) {
 TEST(ParamSearch, EdfReturnsConsistentTuple) {
   // Regression for the fixed-point bug: delay_ms used to be the damped
   // average while gamma/s/sigma came from the last solve at a different
-  // Delta.  After the final re-solve, every field describes one solve.
+  // Delta.  The converged iterate is returned as solved, so every field
+  // describes one solve.
   const Scenario sc = paper_scenario(5, 150, 150, sched::SchedulerKind::kEdf);
   const BoundResult r = deltanc::Solver().solve(sc);
   ASSERT_TRUE(std::isfinite(r.delay_ms));
@@ -177,6 +178,71 @@ TEST(ParamSearch, EdfReturnsConsistentTuple) {
   const double factor_gap = edf.own_factor - edf.cross_factor;
   EXPECT_NEAR(r.delta, factor_gap * r.delay_ms / sc.hops,
               1e-5 * std::abs(r.delta));
+}
+
+/// The unchanged acceptance test of the EDF fixed point, d recovered from
+/// the returned Delta = gap * d / H (the slack absorbs that rounding).
+void expect_edf_fixed_point(const Scenario& sc, const BoundResult& r) {
+  const sched::EdfFactors& edf = sc.scheduler.edf_factors();
+  const double d = r.delta * sc.hops / (edf.own_factor - edf.cross_factor);
+  EXPECT_LE(std::abs(r.delay_ms - d),
+            1e-7 * std::max(1.0, d) + 1e-13 * std::abs(d));
+}
+
+TEST(ParamSearch, EdfAnswerIsAFullBudgetSolveNotACheapIterate) {
+  // Far-from-root EDF iterates run at the kLocal budget.  An engine solve
+  // whose own effort is kLocal runs the very same iterates and accepts
+  // the first one that converges; the full-budget solve must instead
+  // re-solve that d at the full budget and return the confirmation.  In
+  // these scenarios the two budgets give different bits at the same
+  // Delta, so an answer taken from the cheap iterate would show here.
+  for (int hops : {5, 20, 40}) {
+    SCOPED_TRACE(testing::Message() << "H=" << hops);
+    const Scenario sc =
+        paper_scenario(hops, 100, 135, sched::SchedulerKind::kEdf);
+    const BoundResult full = deltanc::Solver().solve(sc);
+    detail::EngineRequest req;
+    req.effort = detail::SearchEffort::kLocal;
+    const BoundResult cheap = detail::solve_scenario(sc, req, nullptr);
+    ASSERT_TRUE(full.stats.edf_converged);
+    ASSERT_TRUE(cheap.stats.edf_converged);
+    EXPECT_EQ(full.delta, cheap.delta);
+    EXPECT_EQ(full.stats.edf_iterations, cheap.stats.edf_iterations + 1);
+    EXPECT_NE(full.delay_ms, cheap.delay_ms);
+    EXPECT_NE(full.s, cheap.s);
+    expect_edf_fixed_point(sc, full);
+  }
+}
+
+TEST(ParamSearch, EdfLongPathGridStaysOnThePinnedDelays) {
+  // EDF delays of an H x uc grid at eps = 1e-9 (uc = 0.1 / 0.45 / 0.8 is
+  // Nc = 67 / 303 / 538 paper flows), pinned (%.17g) from the solver
+  // whose every fixed-point iterate ran at the full budget.  Cheap
+  // iterates plus a full-budget confirmation may move the bits, never
+  // by more than 1e-9 relative, and every answer passes the fixed-point
+  // test.
+  const struct {
+    int hops, n_cross;
+    double delay;
+  } pins[] = {
+      {5, 67, 17.760863886477203},   {5, 303, 49.962476705963773},
+      {5, 538, 514.45551571819988},  {10, 67, 36.705056350938321},
+      {10, 303, 106.90403084679801}, {10, 538, 1113.9700159453882},
+      {20, 67, 92.948374895817395},  {20, 303, 345.59530905725359},
+      {20, 538, 3875.6429590988382}, {40, 67, 219.50821189225954},
+      {40, 303, 1011.2273590066748}, {40, 538, 12379.100441552269},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(testing::Message()
+                 << "H=" << pin.hops << " Nc=" << pin.n_cross);
+    Scenario sc =
+        paper_scenario(pin.hops, 100, pin.n_cross, sched::SchedulerKind::kEdf);
+    sc.epsilon = 1e-9;
+    const BoundResult r = deltanc::Solver().solve(sc);
+    ASSERT_TRUE(r.stats.edf_converged);
+    EXPECT_NEAR(r.delay_ms, pin.delay, 1e-9 * pin.delay);
+    expect_edf_fixed_point(sc, r);
+  }
 }
 
 TEST(ParamSearch, SolveStatsCountTheWork) {

@@ -177,6 +177,51 @@ TEST_F(ResultCacheTest, VersionDriftClassifiesAsStaleAndIsOverwritten) {
   EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
 }
 
+TEST_F(ResultCacheTest, PreviousReleaseEdfEntryIsStaleNeverServed) {
+  // Release 1.1.0 solved the EDF fixed point with every iterate at the
+  // full budget; 1.1.1 confirms cheap iterates and returns different
+  // bits for the same key.  An entry as 1.1.0 wrote it -- its version
+  // string and its delay -- must classify stale and be re-solved, never
+  // served as a hit.
+  e2e::Scenario sc = small_scenario(67);
+  sc.hops = 5;
+  sc.n_through = 100;
+  sc.epsilon = 1e-9;
+  sc.scheduler = sched::SchedulerKind::kEdf;
+  const double released_delay = 17.760863886477203;  // 1.1.0's answer
+  const e2e::BoundResult fresh = deltanc::Solver().solve(sc);
+  ASSERT_NE(fresh.delay_ms, released_delay);
+  ASSERT_STRNE(DELTANC_VERSION_STRING, "1.1.0");
+
+  ResultCache cache(cache_dir());
+  const std::string key = solve_cache_key(sc, SolveOptions{});
+  cache.store(key, fresh);
+  const std::filesystem::path path = cache.entry_path(key);
+  std::string text = read_file(path);
+  const std::string current = std::string("\"") + DELTANC_VERSION_STRING + "\"";
+  std::size_t at = text.find(current);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, current.size(), "\"1.1.0\"");
+  const std::string field = "\"delay_ms\":";
+  at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  at += field.size();
+  text.replace(at, text.find(',', at) - at, "17.760863886477203");
+  write_file(path, text);
+
+  e2e::BoundResult out;
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
+  CacheLookup outcome{};
+  const e2e::BoundResult solved = cache.solve_through(
+      sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
+      &outcome);
+  EXPECT_EQ(outcome, CacheLookup::kStale);
+  EXPECT_EQ(solved.delay_ms, fresh.delay_ms);
+  EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
+  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+  EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
+}
+
 TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
