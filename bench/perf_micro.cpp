@@ -76,7 +76,7 @@ void BM_OptimizeDelayExact(benchmark::State& state) {
   const e2e::PathParams p = bench_path(state.range(0), state.range(1));
   const double gamma = 0.4 * p.gamma_limit();
   const double sigma = e2e::sigma_for_epsilon(p, gamma, 1e-9);
-  const Solver solver{};  // reuse_workspace: allocation-free inner loop
+  const Solver solver{};  // shared workspace: allocation-free inner loop
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.optimize(p, gamma, sigma));
   }

@@ -15,15 +15,6 @@ cmake -B build
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure
 
-# --- SIMD dispatch gate ---------------------------------------------------
-# The Chernoff scan has a vectorized (SoA, omp-simd) and a scalar
-# reference path selected at runtime by DELTANC_SIMD.  The run above
-# exercised the default (SIMD on); this one forces the scalar path.  The
-# suite contains the pinned Fig. 2 hexfloat goldens and the
-# scalar-vs-SIMD bit-identity test, so both dispatch modes must produce
-# bit-identical bounds or this pass fails.
-DELTANC_SIMD=off ctest --test-dir build --output-on-failure
-
 # --- Deprecation-shim gate ------------------------------------------------
 # The PR 4 transitional shims (best_delay_bound*, the non-workspace
 # optimize_delay/k_procedure_delay wrappers, e2e/deprecation.h) are
@@ -222,6 +213,18 @@ if [ "$hex_rc" -ne 2 ] || [ "$ws_rc" -ne 2 ]; then
   echo "FAIL: lenient numeric parse accepted (hex rc=$hex_rc, ws rc=$ws_rc, want 2)"
   exit 1
 fi
+# Integer flags take whole numbers only: "--hops 2.9" once quietly solved
+# H = 2, and "--hops 1e12" was an undefined float-to-int conversion.
+set +e
+./build/tools/deltanc_cli --hops 2.9 2>/dev/null
+frac_rc=$?
+./build/tools/deltanc_cli --hops 1e12 2>/dev/null
+huge_rc=$?
+set -e
+if [ "$frac_rc" -ne 2 ] || [ "$huge_rc" -ne 2 ]; then
+  echo "FAIL: non-integer --hops accepted (2.9 rc=$frac_rc, 1e12 rc=$huge_rc, want 2)"
+  exit 1
+fi
 echo "strict numeric grammar gate: OK"
 
 # --- Solver instrumentation guards ----------------------------------------
@@ -348,6 +351,19 @@ if [ -n "$provenance_hits" ]; then
   echo "$provenance_hits"; exit 1
 fi
 echo "pure-answer gate: OK"
+
+# One solver path per job: the runtime scalar/SIMD switch, the batched
+# eb(s) path and the optional Solver workspace are retired.  The gamma
+# scan kernel is selected from its input alone, and its bit identity is
+# tested directly (tests/band_search_test.cpp, GammaScanKernelMatches*).
+switch_hits=$(grep -rnE \
+  'DELTANC_SIMD|reuse_workspace|effective_bandwidth_batch|simd_enabled|use_simd' \
+  src tools include bench examples tests || true)
+if [ -n "$switch_hits" ]; then
+  echo "FAIL: retired solver switches referenced in code:"
+  echo "$switch_hits"; exit 1
+fi
+echo "one-path gate: OK"
 
 # Profile CSV is machine output: two identical runs (default warm
 # chaining included) must be byte-identical.

@@ -91,8 +91,7 @@ struct SearchContext {
                 detail::WarmState* warm_st)
       : sc(sc_in),
         method(method_in),
-        eb(sc_in.source),
-        use_simd(simd_enabled()) {
+        eb(sc_in.source) {
     if (warm_st != nullptr && warm_st->source_matches(sc)) {
       eb.adopt(warm_st->eb_entries);
     }
@@ -128,7 +127,6 @@ struct SearchContext {
   double s_hi = 0.0;
   bool unstable = false;
   bool degenerate_bracket = false;
-  bool use_simd = true;
   // Search budget policy (detail::SearchEffort) plus the per-solve latch:
   // solve_for_delta arms `local_now` only after a kLocal warm probe lands,
   // and best_over_gamma reads it to pick its scan/golden budgets.  With
@@ -136,9 +134,7 @@ struct SearchContext {
   // evaluation; solve_edf lowers it to kLocal for far-from-root iterates.
   detail::SearchEffort effort = detail::SearchEffort::kFull;
   bool local_now = false;
-  // SoA scratch of the batched scans (reused across evaluations).
-  std::vector<double> scan_s;
-  std::vector<double> scan_eb;
+  // SoA scratch of the batched gamma scan (reused across evaluations).
   std::vector<double> scan_gammas;
   std::vector<double> scan_delays;
   GammaScanBatch gamma_batch;
@@ -171,24 +167,33 @@ double delay_at(SearchContext& ctx, const PathParams& p,
   return kInf;
 }
 
-/// Golden-section minimization of a continuous function on [lo, hi],
-/// seeded by a coarse scan so that a locally non-unimodal objective still
-/// lands in the right valley.
-template <typename F>
-double minimize_scalar(F f, double lo, double hi, int scan_points,
-                       int golden_iters, double* best_arg) {
-  double best_x = lo;
-  double best_v = kInf;
-  for (int i = 0; i <= scan_points; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / scan_points;
+/// Folds f over the grid x_at(0), ..., x_at(points) into the running
+/// argmin (best_x, best_v), in grid order; the first of equal values
+/// wins.  Every point-by-point scan of the search is this loop.
+template <typename X, typename F>
+void scan_grid(int points, X x_at, F f, double& best_x, double& best_v) {
+  for (int i = 0; i <= points; ++i) {
+    const double x = x_at(i);
     const double v = f(x);
     if (v < best_v) {
       best_v = v;
       best_x = x;
     }
   }
-  const double step = (hi - lo) / scan_points;
+}
+
+/// Point i of the arithmetic grid lo, ..., hi with `points` steps.
+double linear_point(double lo, double hi, int i, int points) {
+  return lo + (hi - lo) * static_cast<double>(i) / points;
+}
+
+/// Golden-section refinement of f on [best_x - step, best_x + step]
+/// (clipped to [lo, hi]) around a scan winner (best_x, best_v).  Keeps
+/// the argmin over the winner and the final bracket midpoint: returns
+/// its value and leaves its argument in best_x.
+template <typename F>
+double golden_refine(F f, double lo, double hi, double step,
+                     int golden_iters, double& best_x, double best_v) {
   double a = std::max(lo, best_x - step);
   double b = std::min(hi, best_x + step);
   const double inv_phi = 0.6180339887498949;
@@ -217,6 +222,23 @@ double minimize_scalar(F f, double lo, double hi, int scan_points,
     best_v = vm;
     best_x = xm;
   }
+  return best_v;
+}
+
+/// Golden-section minimization of a continuous function on [lo, hi],
+/// seeded by a coarse scan so that a locally non-unimodal objective still
+/// lands in the right valley.
+template <typename F>
+double minimize_scalar(F f, double lo, double hi, int scan_points,
+                       int golden_iters, double* best_arg) {
+  double best_x = lo;
+  double best_v = kInf;
+  scan_grid(
+      scan_points,
+      [&](int i) { return linear_point(lo, hi, i, scan_points); }, f, best_x,
+      best_v);
+  best_v = golden_refine(f, lo, hi, (hi - lo) / scan_points, golden_iters,
+                         best_x, best_v);
   if (best_arg != nullptr) *best_arg = best_x;
   return best_v;
 }
@@ -229,10 +251,10 @@ double minimize_scalar(F f, double lo, double hi, int scan_points,
 /// The 25-point coarse scan runs through the SoA SIMD kernel
 /// (e2e/scan_batch.h) for the exact optimizer on paths shorter than the
 /// band-search crossover (e2e/delay_bound.h).  The K-procedure (whose
-/// inner K search is data-dependent), long paths with a convex objective
-/// (where the per-lane band search beats the kernel's enumeration) and
-/// the DELTANC_SIMD=off reference mode keep the scalar loop.  All produce
-/// bit-identical values, so the golden refinement that follows is shared.
+/// inner K search is data-dependent) and long paths with a convex
+/// objective (where the per-lane band search beats the kernel's
+/// enumeration) scan point by point.  Both produce bit-identical values,
+/// and the golden refinement that follows is shared.
 double best_over_gamma(SearchContext& ctx, double delta, double s,
                        double eb_s, double* best_gamma) {
   const PathParams p = params_from_eb(ctx, s, eb_s, delta);
@@ -245,16 +267,18 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
   // descent); otherwise the historical 24/48 schedule, bit-identical.
   const int kScanPoints = ctx.local_now ? 12 : 24;
   const int kGoldenIters = ctx.local_now ? 24 : 48;
+  const auto f = [&](double gamma) {
+    return delay_at(ctx, p, sigma_of, gamma);
+  };
   double best_x = lo;
   double best_v = kInf;
-  if (ctx.method == Method::kExactOpt && ctx.use_simd &&
-      !uses_band_search(p)) {
+  if (ctx.method == Method::kExactOpt && !uses_band_search(p)) {
     const std::size_t lanes = kScanPoints + 1;
     ctx.scan_gammas.resize(lanes);
     ctx.scan_delays.resize(lanes);
     for (int i = 0; i <= kScanPoints; ++i) {
       ctx.scan_gammas[static_cast<std::size_t>(i)] =
-          lo + (hi - lo) * static_cast<double>(i) / kScanPoints;
+          linear_point(lo, hi, i, kScanPoints);
     }
     detail::gamma_scan_exact_batch(p, sigma_of, ctx.scan_gammas,
                                    ctx.scan_delays, ctx.gamma_batch);
@@ -268,46 +292,13 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
       }
     }
   } else {
-    for (int i = 0; i <= kScanPoints; ++i) {
-      const double x = lo + (hi - lo) * static_cast<double>(i) / kScanPoints;
-      const double v = delay_at(ctx, p, sigma_of, x);
-      if (v < best_v) {
-        best_v = v;
-        best_x = x;
-      }
-    }
+    scan_grid(
+        kScanPoints,
+        [&](int i) { return linear_point(lo, hi, i, kScanPoints); }, f,
+        best_x, best_v);
   }
-  // Golden refinement around the scan winner -- the exact tail of the
-  // historical minimize_scalar(24, 48) call, evaluation for evaluation.
-  const double step = (hi - lo) / kScanPoints;
-  double a = std::max(lo, best_x - step);
-  double b = std::min(hi, best_x + step);
-  const double inv_phi = 0.6180339887498949;
-  double x1 = b - inv_phi * (b - a);
-  double x2 = a + inv_phi * (b - a);
-  double f1 = delay_at(ctx, p, sigma_of, x1);
-  double f2 = delay_at(ctx, p, sigma_of, x2);
-  for (int iter = 0; iter < kGoldenIters; ++iter) {
-    if (f1 < f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - inv_phi * (b - a);
-      f1 = delay_at(ctx, p, sigma_of, x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + inv_phi * (b - a);
-      f2 = delay_at(ctx, p, sigma_of, x2);
-    }
-  }
-  const double xm = 0.5 * (a + b);
-  const double vm = delay_at(ctx, p, sigma_of, xm);
-  if (vm < best_v) {
-    best_v = vm;
-    best_x = xm;
-  }
+  best_v = golden_refine(f, lo, hi, (hi - lo) / kScanPoints, kGoldenIters,
+                         best_x, best_v);
   if (best_gamma != nullptr) *best_gamma = best_x;
   return best_v;
 }
@@ -333,9 +324,22 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
   const double s_hi = ctx.s_hi;
 
   const int kScan = 28;
+  const int kDense = 160;
   const double ratio = std::pow(s_hi / s_lo, 1.0 / kScan);
   double best_s = s_lo;
   double best_v = kInf;
+  const auto at_s = [&](double s) {
+    return best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
+  };
+  // Logarithmic s scan with `points` steps over [s_lo, s_hi].
+  const auto scan_s = [&](int points) {
+    scan_grid(
+        points,
+        [&](int i) {
+          return s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / points);
+        },
+        at_s, best_s, best_v);
+  };
   const auto scan_t0 = Clock::now();
   ctx.local_now = false;
   if (warm != nullptr && std::isfinite(warm->delay_ms) && warm->s > 0.0) {
@@ -344,54 +348,19 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
     // dense fallback, refinement) runs at the full budget.
     ctx.local_now = ctx.effort == detail::SearchEffort::kLocal;
     const double s = std::clamp(warm->s, s_lo, s_hi);
-    best_v = best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr);
+    best_v = at_s(s);
     best_s = s;
     if (external_warm && best_v != kInf) ++ctx.stats.warm_start_hits;
     if (best_v == kInf) ctx.local_now = false;
   }
-  if (best_v == kInf) {
-    // Coarse logarithmic scan over s (cold start, or warm probe missed):
-    // the s grid is laid out as one SoA batch so eb(s) evaluates through
-    // the batched spectral-radius kernel (memo misses only).
-    ctx.scan_s.resize(kScan + 1);
-    ctx.scan_eb.resize(kScan + 1);
-    for (int i = 0; i <= kScan; ++i) {
-      ctx.scan_s[static_cast<std::size_t>(i)] =
-          s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kScan);
-    }
-    ctx.eb.gather(ctx.scan_s, ctx.scan_eb, ctx.use_simd);
-    for (int i = 0; i <= kScan; ++i) {
-      const std::size_t k = static_cast<std::size_t>(i);
-      const double v =
-          best_over_gamma(ctx, delta, ctx.scan_s[k], ctx.scan_eb[k], nullptr);
-      if (v < best_v) {
-        best_v = v;
-        best_s = ctx.scan_s[k];
-      }
-    }
-  }
+  // Coarse scan: cold start, or the warm probe missed.
+  if (best_v == kInf) scan_s(kScan);
   if (best_v == kInf || ctx.degenerate_bracket) {
     // Recovery: the coarse scan missed every feasible s (a narrow
     // stability valley), or the bracket was degenerate to begin with.
     // Fall back to a dense logarithmic scan before giving up.
     ++ctx.stats.fallbacks;
-    const int kDense = 160;
-    ctx.scan_s.resize(kDense + 1);
-    ctx.scan_eb.resize(kDense + 1);
-    for (int i = 0; i <= kDense; ++i) {
-      ctx.scan_s[static_cast<std::size_t>(i)] =
-          s_lo * std::pow(s_hi / s_lo, static_cast<double>(i) / kDense);
-    }
-    ctx.eb.gather(ctx.scan_s, ctx.scan_eb, ctx.use_simd);
-    for (int i = 0; i <= kDense; ++i) {
-      const std::size_t k = static_cast<std::size_t>(i);
-      const double v =
-          best_over_gamma(ctx, delta, ctx.scan_s[k], ctx.scan_eb[k], nullptr);
-      if (v < best_v) {
-        best_v = v;
-        best_s = ctx.scan_s[k];
-      }
-    }
+    scan_s(kDense);
   }
   ctx.stats.scan_ms += ms_since(scan_t0);
   if (best_v == kInf) {
@@ -406,8 +375,7 @@ BoundResult solve_for_delta(SearchContext& ctx, double delta,
   const auto refine_t0 = Clock::now();
   double refined_s = best_s;
   const double refined_v = minimize_scalar(
-      [&](double s) { return best_over_gamma(ctx, delta, s, ctx.eb(s), nullptr); },
-      std::max(s_lo, best_s / ratio), std::min(s_hi, best_s * ratio),
+      at_s, std::max(s_lo, best_s / ratio), std::min(s_hi, best_s * ratio),
       ctx.local_now ? 4 : 8, ctx.local_now ? 20 : 32, &refined_s);
   // Keep the argmin over everything seen: the refinement's arithmetic
   // grid need not revisit best_s exactly, so its optimum can come out

@@ -8,14 +8,17 @@
 // of the network service curve.  The engine minimizes the bound over
 // both: an outer golden-section search on s (seeded by a coarse
 // logarithmic scan) and an inner golden-section search on gamma within
-// the stability window of Eq. (32).  The inner scan runs through the
-// SoA SIMD kernels of e2e/scan_batch.h (bit-identical to the scalar
-// path; DELTANC_SIMD=off selects the reference implementation).
+// the stability window of Eq. (32).  For the exact optimizer on paths
+// below the band-search crossover the coarse gamma scan runs through the
+// SoA SIMD kernel of e2e/scan_batch.h, bit-identical to evaluating the
+// same gammas one at a time; every other scan does exactly that.
 //
 // EDF deadlines in the paper's examples are self-referential: d*_0 and
 // d*_c are multiples of d_e2e / H where d_e2e is the EDF bound itself
-// (Examples 1 and 3).  The engine resolves this with a damped
-// fixed-point iteration on Delta_{0,c} = d*_0 - d*_c.
+// (Examples 1 and 3).  The engine resolves this with a fixed-point
+// iteration on Delta_{0,c} = d*_0 - d*_c: secant steps with a damped
+// fallback, far-from-root iterates at a reduced search budget, and a
+// full-budget confirmation as the only accepted answer.
 //
 // The one public entry point is deltanc::Solver (e2e/solver.h); the
 // historical scenario-level free functions were retired with the rest

@@ -1,27 +1,15 @@
 // SoA gamma-scan kernel (see e2e/scan_batch.h for the contract).  This
 // translation unit is compiled with -fopenmp-simd (activates the simd
 // pragmas, no OpenMP runtime) and -ffp-contract=off (no FMA contraction:
-// lanes must stay bit-identical to the scalar reference path).
+// lanes must stay bit-identical to the scalar evaluation).
 #include "e2e/scan_batch.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
-namespace deltanc::e2e {
-
-bool simd_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("DELTANC_SIMD");
-    if (env == nullptr) return true;
-    return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
-  }();
-  return enabled;
-}
-
-namespace detail {
+namespace deltanc::e2e::detail {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -177,6 +165,4 @@ void gamma_scan_exact_batch(const PathParams& p,
   for (std::size_t g = 0; g < lanes; ++g) delays[g] = best_f[g];
 }
 
-}  // namespace detail
-
-}  // namespace deltanc::e2e
+}  // namespace deltanc::e2e::detail

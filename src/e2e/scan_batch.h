@@ -1,5 +1,5 @@
 // Batched (structure-of-arrays) evaluation of the inner gamma scan of
-// the Chernoff parameter search, plus the runtime SIMD dispatch toggle.
+// the Chernoff parameter search.
 //
 // The scan phase of best-over-gamma evaluates the Eq. (39) objective at
 // a fixed grid of gamma probes that share everything except gamma
@@ -13,10 +13,12 @@
 // behind sigma(epsilon) stay scalar per lane (vectorized libm variants
 // are not bit-identical), and the kernel translation unit is compiled
 // with -ffp-contract=off so no FMA contraction can perturb a lane.
-// Every lane therefore reproduces, bit for bit, the exact arithmetic of
-// the scalar path sigma_of(gamma) followed by optimize_delay(p, gamma,
-// sigma, ws) -- which is what DELTANC_SIMD=off runs, and what the
-// bit-identity tests compare against.
+// Every lane therefore reproduces, bit for bit, sigma_of(gamma) followed
+// by the breakpoint enumeration (detail::optimize_delay_enumerate) --
+// what optimize_delay runs below the band-search crossover, and what
+// tests/band_search_test.cpp compares every lane against.
+// best_over_gamma (e2e/param_search.cpp) selects the kernel from its
+// input alone: the exact optimizer on a path below that crossover.
 #pragma once
 
 #include <span>
@@ -24,21 +26,12 @@
 #include "e2e/network_epsilon.h"
 #include "e2e/path_params.h"
 
-namespace deltanc::e2e {
-
-/// Runtime SIMD dispatch: true unless the environment variable
-/// DELTANC_SIMD is set to "off" or "0" (read once, at first use).  With
-/// SIMD off the solver runs the scalar reference path; results are
-/// bit-identical either way -- the toggle exists so tests and CI can
-/// *verify* that, and as an escape hatch.
-[[nodiscard]] bool simd_enabled();
-
-namespace detail {
+namespace deltanc::e2e::detail {
 
 /// Fills delays[i] with the Eq. (39) exact-optimization objective at
 /// gammas[i] for fixed (p, sigma_of): bit-identical, lane for lane, to
 /// the scalar sequence  sigma = sigma_of(gamma);
-/// optimize_delay(p, gamma, sigma, ws).delay .
+/// detail::optimize_delay_enumerate(p, gamma, sigma, ws).delay .
 ///
 /// Preconditions (enforced by the caller, the scan of best-over-gamma):
 /// every gamma lies strictly inside (0, p.gamma_limit()), so Eq. (32)
@@ -48,6 +41,4 @@ void gamma_scan_exact_batch(const PathParams& p,
                             std::span<const double> gammas,
                             std::span<double> delays, GammaScanBatch& batch);
 
-}  // namespace detail
-
-}  // namespace deltanc::e2e
+}  // namespace deltanc::e2e::detail

@@ -70,7 +70,6 @@ ParsedRequestLine parse_request_line(const std::string& line,
       sc.scheduler = *options.scheduler;
       options.scheduler.reset();
     }
-    options.reuse_workspace = true;
     // A non-null "epsilons" array makes this a profile request.  The
     // grid is validated here so a malformed one is a parse error (the
     // engine would throw the same complaint mid-solve otherwise).

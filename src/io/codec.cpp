@@ -598,14 +598,12 @@ namespace {
 
 /// Folds the scheduler override into the scenario so "FIFO scenario
 /// overridden to EDF" and "EDF scenario" key identically -- they solve
-/// identically -- and canonicalizes the options (reuse_workspace is
-/// excluded from keys by contract: it cannot change any result bit).
+/// identically.
 void canonicalize_solve(e2e::Scenario& sc, SolveOptions& options) {
   if (options.scheduler.has_value()) {
     sc.scheduler = *options.scheduler;
     options.scheduler.reset();
   }
-  options.reuse_workspace = true;
 }
 
 }  // namespace

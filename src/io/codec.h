@@ -122,8 +122,7 @@ struct SchemaError : CodecError {
 // ----- solve options and the cache key -----------------------------------
 
 /// Canonical fields: method, scheduler (or null), delta (or null),
-/// max_edf_restarts.  reuse_workspace is intentionally excluded: it
-/// cannot change any result bit, so it must not fragment the cache.
+/// max_edf_restarts, warm_start.
 [[nodiscard]] json::Value encode_solve_options(const SolveOptions& options);
 [[nodiscard]] SolveOptions decode_solve_options(const json::Value& v);
 

@@ -33,6 +33,9 @@ class Connection {
 
   void run() {
     std::string buffer;
+    // buffer[0, scanned) holds no '\n': each byte is searched once, so a
+    // long unterminated line costs linear time, not quadratic.
+    std::size_t scanned = 0;
     char chunk[4096];
     for (;;) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -41,12 +44,14 @@ class Connection {
       buffer.append(chunk, static_cast<std::size_t>(n));
       std::size_t start = 0;
       for (;;) {
-        const std::size_t nl = buffer.find('\n', start);
+        const std::size_t nl = buffer.find('\n', scanned);
         if (nl == std::string::npos) break;
         submit(buffer.substr(start, nl - start));
         start = nl + 1;
+        scanned = start;
       }
       buffer.erase(0, start);
+      scanned = buffer.size();
     }
     // A truncated client write (no trailing newline before EOF) is
     // still a request -- same contract as --batch's final line.

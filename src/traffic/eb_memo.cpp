@@ -22,50 +22,4 @@ double EffectiveBandwidthMemo::operator()(double s) {
   return value;
 }
 
-std::size_t EffectiveBandwidthMemo::gather(std::span<const double> s,
-                                           std::span<double> out,
-                                           bool use_simd) {
-  if (s.size() != out.size()) {
-    throw std::invalid_argument("EffectiveBandwidthMemo: s/out size mismatch");
-  }
-  // Pass 1: serve hits, collect the misses as a compact SoA batch.
-  std::vector<double> miss_s;
-  std::vector<std::size_t> miss_idx;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), s[i],
-        [](const std::pair<double, double>& e, double key) {
-          return e.first < key;
-        });
-    if (it != entries_.end() && it->first == s[i]) {
-      ++hits_;
-      out[i] = it->second;
-    } else {
-      miss_s.push_back(s[i]);
-      miss_idx.push_back(i);
-    }
-  }
-  if (miss_s.empty()) return 0;
-  // Pass 2: one batched evaluation over the misses, then scatter back and
-  // memoize (re-probing per insert keeps duplicate keys within one batch
-  // correct).
-  std::vector<double> miss_eb(miss_s.size());
-  source_.effective_bandwidth_batch(miss_s, miss_eb, use_simd);
-  misses_ += static_cast<std::int64_t>(miss_s.size());
-  for (std::size_t m = 0; m < miss_s.size(); ++m) {
-    out[miss_idx[m]] = miss_eb[m];
-    if (entries_.size() < kMaxEntries) {
-      const auto it = std::lower_bound(
-          entries_.begin(), entries_.end(), miss_s[m],
-          [](const std::pair<double, double>& e, double key) {
-            return e.first < key;
-          });
-      if (it == entries_.end() || it->first != miss_s[m]) {
-        entries_.insert(it, {miss_s[m], miss_eb[m]});
-      }
-    }
-  }
-  return miss_s.size();
-}
-
 }  // namespace deltanc::traffic

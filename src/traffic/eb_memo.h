@@ -30,15 +30,6 @@ class EffectiveBandwidthMemo {
   /// @throws std::invalid_argument unless s > 0 (as effective_bandwidth).
   double operator()(double s);
 
-  /// Batch lookup (structure of arrays): fills out[i] = eb(s[i]) for the
-  /// whole span, serving repeats from the cache and evaluating the misses
-  /// together through MmooSource::effective_bandwidth_batch (SIMD algebra
-  /// when `use_simd`; the scalar reference path otherwise).  Every out[i]
-  /// is bit-identical to operator()(s[i]) in either mode.
-  /// @returns the number of cache misses in this call.
-  std::size_t gather(std::span<const double> s, std::span<double> out,
-                     bool use_simd = true);
-
   /// Number of cache misses == distinct s values actually evaluated.
   [[nodiscard]] std::int64_t misses() const noexcept { return misses_; }
   /// Number of cache hits (evaluations saved).

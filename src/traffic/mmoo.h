@@ -21,8 +21,6 @@
 // are numerically in Mbps.
 #pragma once
 
-#include <span>
-
 #include "traffic/ebb.h"
 
 namespace deltanc::traffic {
@@ -60,17 +58,6 @@ class MmooSource {
   /// with eb(0+) = mean_rate() and eb(inf) = peak_rate().
   /// @throws std::invalid_argument unless s > 0.
   [[nodiscard]] double effective_bandwidth(double s) const;
-
-  /// Structure-of-arrays batch form of effective_bandwidth: evaluates
-  /// eb at every s[i] into out[i].  The transcendentals (exp, log) stay
-  /// scalar per lane -- vectorized libm variants are not bit-identical --
-  /// while the connecting spectral-radius algebra (+, *, /, sqrt, IEEE
-  /// exact) runs under `#pragma omp simd` when `use_simd`.  Either way
-  /// every out[i] is bit-identical to effective_bandwidth(s[i]).
-  /// @throws std::invalid_argument unless sizes match and every s > 0.
-  void effective_bandwidth_batch(std::span<const double> s,
-                                 std::span<double> out,
-                                 bool use_simd = true) const;
 
   /// EBB description (Eq. (27)) of an aggregate of `n` i.i.d. copies of
   /// this source, for Chernoff parameter s:  A ~ (1, n * eb(s), s).

@@ -6,7 +6,10 @@
 // enumeration as it stood before the bracket kink -Delta was pushed
 // once instead of once per node.  A non-convex Delta > 0 input pins that
 // such inputs stay on the enumeration, and full solves on long paths pin
-// their answers and evaluation counts.
+// their answers and evaluation counts.  A second seeded battery holds the
+// parameter search's SoA gamma-scan kernel (e2e/scan_batch.h) to the same
+// standard: every lane must equal sigma(gamma) followed by the
+// enumeration, bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +20,12 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "e2e/delay_bound.h"
+#include "e2e/network_epsilon.h"
+#include "e2e/scan_batch.h"
 #include "e2e/solver.h"
 #include "e2e/theta_solver.h"
 
@@ -166,11 +172,27 @@ class CaseGenerator {
     return c;
   }
 
+  /// A path for the gamma-scan kernel battery: rates as in next(), a
+  /// Chernoff parameter s = alpha over three decades, the given Delta,
+  /// and a violation probability epsilon over ten decades.
+  std::pair<PathParams, double> next_path(int hops, double delta) {
+    PathParams p{};
+    p.capacity = log_uniform(10.0, 1000.0);
+    p.hops = hops;
+    p.rho = p.capacity * unit() * 0.45;
+    p.rho_cross = p.capacity * unit() * 0.5;
+    p.alpha = log_uniform(1e-3, 1.0);
+    p.m = 1.0;
+    p.delta = delta;
+    return {p, log_uniform(1e-12, 1e-2)};
+  }
+
+  double unit() { return std::uniform_real_distribution<double>(0.0, 1.0)(rng_); }
+
  private:
   int pick(int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng_);
   }
-  double unit() { return std::uniform_real_distribution<double>(0.0, 1.0)(rng_); }
   double log_uniform(double lo, double hi) {
     return std::exp(std::log(lo) + (std::log(hi) - std::log(lo)) * unit());
   }
@@ -250,6 +272,73 @@ TEST(BandSearch, MatchesEnumerationAtThousandHops) {
           << describe(c);
     }
   }
+}
+
+/// Runs the SoA gamma-scan kernel on `batches` random (p, epsilon) at
+/// every H in 1..12 and compares each lane with the scalar sequence it
+/// replaces, sigma = sigma_of(gamma) then the enumeration.  The lanes are
+/// the parameter search's 25-point scan grid, both edges of the Eq. (32)
+/// window (1e-9 and 1 - 2^-40 of the limit, and the last double below
+/// it) and a few interior draws.
+void run_kernel_battery(double delta, std::uint64_t seed, int batches) {
+  CaseGenerator gen(DeltaFamily::kZero, seed);
+  SolveWorkspace ws;
+  GammaScanBatch batch;
+  std::vector<double> gammas, delays;
+  int lanes = 0, failures = 0;
+  for (int hops = 1; hops <= 12; ++hops) {
+    for (int b = 0; b < batches; ++b) {
+      const auto [p, epsilon] = gen.next_path(hops, delta);
+      const double glim = p.gamma_limit();
+      gammas = {glim * 1e-9, glim * (1.0 - 0x1p-40),
+                std::nextafter(glim, 0.0)};
+      for (int i = 0; i <= 24; ++i) {
+        gammas.push_back(1e-4 * glim +
+                         (0.9999 * glim - 1e-4 * glim) * i / 24);
+      }
+      for (int i = 0; i < 4; ++i) gammas.push_back(glim * gen.unit());
+      delays.assign(gammas.size(), 0.0);
+      const SigmaForEpsilon sigma_of(p, epsilon);
+      detail::gamma_scan_exact_batch(p, sigma_of, gammas, delays, batch);
+      for (std::size_t g = 0; g < gammas.size(); ++g, ++lanes) {
+        const double want =
+            detail::optimize_delay_enumerate(p, gammas[g],
+                                             sigma_of(gammas[g]), ws)
+                .delay;
+        if (std::memcmp(&delays[g], &want, sizeof(double)) != 0 &&
+            ++failures <= 5) {
+          ADD_FAILURE() << "kernel lane differs from the scalar path at C="
+                        << std::hexfloat << p.capacity << " H=" << hops
+                        << " rho=" << p.rho << " rho_c=" << p.rho_cross
+                        << " s=" << p.alpha << " delta=" << delta
+                        << " eps=" << epsilon << " gamma=" << gammas[g]
+                        << " (kernel " << delays[g] << ", scalar " << want
+                        << ")";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0) << "of " << lanes << " lanes";
+}
+
+TEST(BandSearch, GammaScanKernelMatchesScalarFifo) {
+  run_kernel_battery(0.0, 701, 200);
+}
+
+TEST(BandSearch, GammaScanKernelMatchesScalarNegativeDelta) {
+  run_kernel_battery(-50.0, 702, 200);
+}
+
+TEST(BandSearch, GammaScanKernelMatchesScalarPositiveDelta) {
+  run_kernel_battery(5.0, 703, 200);
+}
+
+TEST(BandSearch, GammaScanKernelMatchesScalarBmux) {
+  run_kernel_battery(kInf, 704, 200);
+}
+
+TEST(BandSearch, GammaScanKernelMatchesScalarSpHigh) {
+  run_kernel_battery(-kInf, 705, 200);
 }
 
 TEST(BandSearch, DispatchFollowsConvexityAndCrossover) {

@@ -441,11 +441,7 @@ TEST(Codec, CacheKeyIsStableAndFoldsSchedulerOverride) {
   EXPECT_EQ(solve_cache_key(fifo, forced), solve_cache_key(edf, options));
   EXPECT_NE(solve_cache_key(fifo, options), solve_cache_key(edf, options));
 
-  // reuse_workspace cannot change result bits, so it must not fragment
-  // the cache; method does change results, so it must.
-  SolveOptions no_ws;
-  no_ws.reuse_workspace = false;
-  EXPECT_EQ(solve_cache_key(fifo, no_ws), solve_cache_key(fifo, options));
+  // Method changes results, so it must fragment the cache.
   SolveOptions paper;
   paper.method = e2e::Method::kPaperK;
   EXPECT_NE(solve_cache_key(fifo, paper), solve_cache_key(fifo, options));

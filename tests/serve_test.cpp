@@ -9,8 +9,14 @@
 #include "serve/service.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <csignal>
+#include <cstring>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
@@ -23,6 +29,7 @@
 #include "io/codec.h"
 #include "serve/bounded_queue.h"
 #include "serve/fault_plan.h"
+#include "serve/listener.h"
 
 namespace deltanc::serve {
 namespace {
@@ -573,6 +580,90 @@ TEST(SolveServiceTest, ProfileAnswersMatchBatchBytesModuloTimings) {
   for (const char* timing : {"scan_ms", "refine_ms"}) {
     EXPECT_EQ(served[0].dump().find(timing), std::string::npos) << timing;
   }
+}
+
+// ----- socket framing ------------------------------------------------------
+
+// The listener's stop flag is a signal flag: set it from a handler that
+// runs on the listener's own thread (pthread_kill), as a real SIGTERM
+// would, so no other thread writes what the accept loop reads.
+volatile std::sig_atomic_t g_framing_stop = 0;
+extern "C" void framing_stop_handler(int) { g_framing_stop = 1; }
+
+TEST(SocketServer, LongUnterminatedLineIsFramedInLinearTime) {
+  // One 32 MB request line with no newline, then EOF.  Framing must
+  // search each byte for '\n' once: re-searching the whole buffer after
+  // every 4 KB recv is quadratic and takes over 9 s on this line.  The
+  // line is still a request (truncated final line) and gets exactly one
+  // answer.
+  ServeOptions serve_options;
+  serve_options.workers = 1;
+  SolveService service(serve_options);
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "framing.sock").string();
+  struct sigaction stop_action {};
+  stop_action.sa_handler = framing_stop_handler;
+  sigemptyset(&stop_action.sa_mask);
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &stop_action, &previous), 0);
+  g_framing_stop = 0;
+  ListenerOptions options;
+  options.socket_path = path;
+  options.stop = &g_framing_stop;
+  std::ostringstream server_err;
+  bool clean = false;
+  std::thread server(
+      [&] { clean = run_socket_server(service, options, server_err); });
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  bool connected = false;
+  for (int attempt = 0; attempt < 200 && !connected; ++attempt) {
+    connected = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                          sizeof(addr)) == 0;
+    if (!connected) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(connected) << server_err.str();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string block(1 << 20, 'x');
+  for (int mb = 0; mb < 32; ++mb) {
+    std::size_t sent = 0;
+    while (sent < block.size()) {
+      const ssize_t n = ::send(fd, block.data() + sent, block.size() - sent,
+                               MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string answers;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    answers.append(chunk, static_cast<std::size_t>(n));
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ::close(fd);
+  ::pthread_kill(server.native_handle(), SIGUSR1);
+  server.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+
+  EXPECT_TRUE(clean) << server_err.str();
+  ASSERT_FALSE(answers.empty());
+  EXPECT_EQ(answers.find('\n'), answers.size() - 1) << "exactly one answer";
+  EXPECT_FALSE(Value::parse(answers.substr(0, answers.size() - 1))
+                   .at("ok")
+                   .as_bool());
+  EXPECT_LT(seconds, 5.0);
+  EXPECT_EQ(service.stats().answered, 1);
 }
 
 }  // namespace

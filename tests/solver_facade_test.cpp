@@ -2,7 +2,7 @@
 // functions it consolidates: bit-identical results against the PR 2
 // hexfloat goldens and against the (deprecated) free entry points, with
 // the SolveOptions knobs (scheduler override, fixed delta, retry
-// policy, workspace reuse) behaving as documented.
+// policy) and the shared optimize() workspace behaving as documented.
 #include "e2e/solver.h"
 
 #include <gtest/gtest.h>
@@ -97,28 +97,29 @@ TEST(SolverFacade, FixedDeltaMatchesDeprecatedEntryPoint) {
   }
 }
 
-TEST(SolverFacade, OptimizeIsBitIdenticalWithAndWithoutWorkspace) {
-  const e2e::PathParams p = path_params(2.0);
+TEST(SolverFacade, RepeatedOptimizeCallsMatchAFreshSolver) {
+  // optimize() reuses the Solver's workspace across calls.  Whatever a
+  // previous call left in it -- a longer or shorter path, another Delta,
+  // another gamma -- a repeated call must return exactly what a fresh
+  // Solver's first call returns: delay, X and every theta_h.
   for (const e2e::Method method :
        {e2e::Method::kExactOpt, e2e::Method::kPaperK}) {
-    SolveOptions reuse;
-    reuse.method = method;
-    SolveOptions fresh;
-    fresh.method = method;
-    fresh.reuse_workspace = false;
-    const Solver with_ws(reuse);
-    const Solver without_ws(fresh);
-    for (const double gamma : {0.5, 1.0, 2.0}) {
-      const e2e::DelayResult a = with_ws.optimize(p, gamma, 40.0);
-      const e2e::DelayResult b = without_ws.optimize(p, gamma, 40.0);
-      const e2e::DelayResult direct =
-          method == e2e::Method::kExactOpt
-              ? deltanc::Solver().optimize(p, gamma, 40.0)
-              : deltanc::Solver(deltanc::e2e::Method::kPaperK).optimize(p, gamma, 40.0);
-      EXPECT_EQ(a.delay, direct.delay);
-      EXPECT_EQ(b.delay, direct.delay);
-      EXPECT_EQ(a.x, direct.x);
-      EXPECT_EQ(a.theta, direct.theta);
+    const Solver shared(method);
+    for (int round = 0; round < 2; ++round) {
+      for (const int hops : {4, 2, 9}) {
+        for (const double delta : {2.0, 0.0, -kInf}) {
+          e2e::PathParams p = path_params(delta);
+          p.hops = hops;
+          for (const double gamma : {0.5, 1.0, 2.0}) {
+            const e2e::DelayResult again = shared.optimize(p, gamma, 40.0);
+            const e2e::DelayResult first =
+                Solver(method).optimize(p, gamma, 40.0);
+            EXPECT_EQ(again.delay, first.delay);
+            EXPECT_EQ(again.x, first.x);
+            EXPECT_EQ(again.theta, first.theta);
+          }
+        }
+      }
     }
   }
 }
@@ -153,9 +154,7 @@ const std::vector<double> kProfileGrid = {1e-3, 1e-5, 1e-7, 1e-9};
 TEST(SolverProfile, ColdLevelsAreBitIdenticalToScalarSolves) {
   // The pinning contract: with warm_start == kCold (the default) every
   // profile level IS the scalar solve of the same scenario at that
-  // epsilon -- identical bits, identical work counters.  This holds in
-  // either SIMD mode (the whole profile and the scalar baseline follow
-  // the same DELTANC_SIMD path).
+  // epsilon -- identical bits, identical work counters.
   for (const sched::SchedulerKind sched :
        {sched::SchedulerKind::kFifo, sched::SchedulerKind::kEdf,
         sched::SchedulerKind::kSpHigh}) {

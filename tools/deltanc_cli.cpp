@@ -21,6 +21,7 @@
 // --batch / --emit-batch JSONL) goes to stdout and *only* that; all
 // human narration -- progress, summaries, stats, warnings, diagnostics
 // -- goes to stderr, so every mode can be piped straight into a parser.
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -178,6 +179,22 @@ double parse_double(const char* value, const char* flag) {
   double parsed = 0.0;
   if (!sched::parse_strict_double(value, parsed)) {
     usage_error(std::string("bad numeric value for ") + flag);
+  }
+  return parsed;
+}
+
+/// Strict integer flag value: the whole string must be a decimal integer
+/// that fits Int -- no fraction, exponent, '+' or whitespace.  "--hops
+/// 2.9" is a typo, not H = 2, and "--hops 1e12" must never reach an
+/// out-of-range float-to-int conversion.
+template <typename Int>
+Int parse_integer(const char* value, const char* flag) {
+  Int parsed = 0;
+  const char* const end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end) {
+    usage_error(std::string("bad integer value for ") + flag + ": '" + value +
+                "'");
   }
   return parsed;
 }
@@ -668,11 +685,11 @@ int main(int argc, char** argv) {
     if (flag == "--capacity") {
       builder.capacity_mbps(parse_double(next(), "--capacity"));
     } else if (flag == "--hops") {
-      builder.hops(static_cast<int>(parse_double(next(), "--hops")));
+      builder.hops(parse_integer<int>(next(), "--hops"));
     } else if (flag == "--n0") {
-      builder.through_flows(static_cast<int>(parse_double(next(), "--n0")));
+      builder.through_flows(parse_integer<int>(next(), "--n0"));
     } else if (flag == "--nc") {
-      builder.cross_flows(static_cast<int>(parse_double(next(), "--nc")));
+      builder.cross_flows(parse_integer<int>(next(), "--nc"));
     } else if (flag == "--u0") {
       builder.through_utilization(parse_double(next(), "--u0"));
     } else if (flag == "--uc") {
@@ -709,10 +726,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--csv") {
       csv_only = true;
     } else if (flag == "--simulate") {
-      simulate_slots =
-          static_cast<long long>(parse_double(next(), "--simulate"));
+      simulate_slots = parse_integer<long long>(next(), "--simulate");
     } else if (flag == "--threads") {
-      threads = static_cast<int>(parse_double(next(), "--threads"));
+      threads = parse_integer<int>(next(), "--threads");
       if (threads < 1) usage_error("--threads must be >= 1");
     } else if (flag == "--warm-start") {
       const std::string policy = next();
@@ -739,15 +755,14 @@ int main(int argc, char** argv) {
     } else if (flag == "--serve") {
       serve_cli.socket_path = next();
     } else if (flag == "--serve-workers") {
-      serve_cli.workers =
-          static_cast<int>(parse_double(next(), "--serve-workers"));
+      serve_cli.workers = parse_integer<int>(next(), "--serve-workers");
       if (serve_cli.workers < 1) usage_error("--serve-workers must be >= 1");
     } else if (flag == "--serve-queue") {
-      const double depth = parse_double(next(), "--serve-queue");
+      const auto depth = parse_integer<long long>(next(), "--serve-queue");
       if (depth < 1) usage_error("--serve-queue must be >= 1");
       serve_cli.queue_depth = static_cast<std::size_t>(depth);
     } else if (flag == "--serve-memory") {
-      const double entries = parse_double(next(), "--serve-memory");
+      const auto entries = parse_integer<long long>(next(), "--serve-memory");
       if (entries < 0) usage_error("--serve-memory must be >= 0");
       serve_cli.memory_entries = static_cast<std::size_t>(entries);
     } else if (flag == "--deadline-ms") {
