@@ -351,8 +351,9 @@ void BM_JsonBoundResultRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_JsonBoundResultRoundTrip);
 
 void BM_ResultCacheHit(benchmark::State& state) {
-  // Steady-state hit cost: key canonicalization + file read + decode.
-  // This is what bounds warm `--batch` throughput.
+  // Steady-state hit cost of a scalar request: file read + decode of its
+  // one-level profile entry.  This is what bounds warm `--batch`
+  // throughput.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "deltanc_bench_cache";
   std::filesystem::remove_all(dir);
@@ -363,7 +364,8 @@ void BM_ResultCacheHit(benchmark::State& state) {
   sc.n_cross = 268;
   sc.epsilon = 1e-6;
   const SolveOptions options;
-  const std::string key = io::solve_cache_key(sc, options);
+  const std::string key =
+      io::cache_key(sc, std::span<const double>(&sc.epsilon, 1), options);
   cache.store(key, deltanc::Solver().solve(sc));
   e2e::BoundResult out;
   for (auto _ : state) {

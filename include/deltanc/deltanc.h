@@ -41,6 +41,6 @@
 
 // Serialization, persistent result cache, batch service.
 #include "io/batch.h"         // io::run_batch, BatchOptions, BatchSummary
-#include "io/codec.h"         // io::encode_*/decode_*, solve_cache_key
+#include "io/codec.h"         // io::encode_*/decode_*, cache_key
 #include "io/json.h"          // io::json::Value
 #include "io/result_cache.h"  // io::ResultCache, CacheStats

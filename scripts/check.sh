@@ -225,6 +225,18 @@ if [ "$frac_rc" -ne 2 ] || [ "$huge_rc" -ne 2 ]; then
   echo "FAIL: non-integer --hops accepted (2.9 rc=$frac_rc, 1e12 rc=$huge_rc, want 2)"
   exit 1
 fi
+# --sweep axes follow the same rules: "hops=2.9,3" once solved H = 3
+# twice, and a value the grid rejects (hops=0, uc=-1, delta=nan,
+# capacity=0) once escaped as an uncaught exception (rc 134).
+for axis in hops=2.9,3 hops=0 hops=1e12 hops=2:3:3 uc=-1 delta=nan capacity=0; do
+  set +e
+  ./build/tools/deltanc_cli --sweep "$axis" --csv >/dev/null 2>&1
+  axis_rc=$?
+  set -e
+  if [ "$axis_rc" -ne 2 ]; then
+    echo "FAIL: --sweep $axis exited $axis_rc (want usage error 2)"; exit 1
+  fi
+done
 echo "strict numeric grammar gate: OK"
 
 # --- Solver instrumentation guards ----------------------------------------
@@ -342,12 +354,16 @@ echo "delay_ccdf_bound retirement gate: OK"
 # outcome stamping that filled them, the cache-corruption warning kinds
 # and the legacy cache-key probe chain are retired -- provenance lives
 # only in the response's "cache" tag and CacheStats, and each schema's
-# entries live in their own v<N>/ epoch directory.
+# entries live in their own v<N>/ epoch directory.  One answer type: a
+# scalar request is a one-level profile, so the two key functions, the
+# profile-only store/serve twins and the solve-through helpers are
+# retired too (perfbench/ is not searched: it is frozen with the
+# benchmark and keeps to the names the cache still exports).
 provenance_hits=$(grep -rnE \
-  'legacy_v[0-9]_solve_cache_key|cache_hits|cache_misses|cache_stale|apply_cache_outcome|kCorruptCache|kCacheStoreFailed' \
-  src tools include bench examples || true)
+  'legacy_v[0-9]_solve_cache_key|cache_hits|cache_misses|cache_stale|apply_cache_outcome|kCorruptCache|kCacheStoreFailed|solve_cache_key|profile_cache_key|try_store_profile|solve_through|solve_profile_through|handle_profile|profile_memory' \
+  src tools include bench examples tests || true)
 if [ -n "$provenance_hits" ]; then
-  echo "FAIL: retired cache provenance / legacy-key code referenced:"
+  echo "FAIL: retired cache provenance / legacy-key / twin-path code referenced:"
   echo "$provenance_hits"; exit 1
 fi
 echo "pure-answer gate: OK"
@@ -408,14 +424,18 @@ echo "profile pinning gate: OK (4 levels byte-identical to scalar solves)"
 # Profile requests ride the batch protocol and the persistent cache:
 # --emit-batch --ccdf emits profile requests (strict-lint clean), a
 # second run answers every one from cache bit-identically, and
-# doctoring every stored entry to wire schema 5 classifies ALL of them
-# stale -- zero hits, zero wrong answers, full re-solve.  The "cache"
+# doctoring every stored entry to the previous wire schema classifies
+# ALL of them stale -- zero hits, zero wrong answers, full re-solve.
+# The schema is read from the binary's own --emit-batch output, so a
+# schema bump needs no edit here.  The "cache"
 # tag is the only provenance on a response, so each run must equal the
 # cold run with its "miss" tags rewritten to the expected outcome.
 prof_dir=$(mktemp -d)
 ./build/tools/deltanc_cli --hops 3 --sweep uc=0.2:0.6:3 \
   --ccdf 1e-6:1e-3:3 --emit-batch > "$prof_dir/req.jsonl" 2>/dev/null
 ./build/tools/deltanc_cli --lint-jsonl "$prof_dir/req.jsonl" 2>/dev/null
+schema=$(head -1 "$prof_dir/req.jsonl" | grep -o '"schema":[0-9]*' | cut -d: -f2)
+prev_schema=$((schema - 1))
 grep -q '"epsilons":\[' "$prof_dir/req.jsonl" || {
   echo "FAIL: --emit-batch --ccdf did not emit profile requests"; exit 1
 }
@@ -435,11 +455,11 @@ if ! cmp -s <(cold_as hit) "$prof_dir/warm.jsonl"; then
   echo "FAIL: cached profile responses differ from solved ones"; exit 1
 fi
 find "$prof_dir/cache" -type f -name '*.json' \
-  -exec sed -i 's/"schema":6/"schema":5/' {} +
+  -exec sed -i "s/\"schema\":$schema/\"schema\":$prev_schema/" {} +
 ./build/tools/deltanc_cli --batch "$prof_dir/req.jsonl" \
   --cache-dir "$prof_dir/cache" > "$prof_dir/stale.jsonl" 2> "$prof_dir/stale.err"
 grep -q 'hits=0 misses=0 stale=3' "$prof_dir/stale.err" || {
-  echo "FAIL: schema-5 entries were not all classified stale:"
+  echo "FAIL: schema-$prev_schema entries were not all classified stale:"
   cat "$prof_dir/stale.err"; exit 1
 }
 if ! cmp -s <(cold_as stale) "$prof_dir/stale.jsonl"; then
@@ -448,7 +468,7 @@ fi
 # Flat-layout migration: the (re-solved, fully valid) entries moved to
 # the pre-epoch flat layout are never opened -- all misses, zero hits,
 # counted as foreign -- and the re-solves are bit-identical.
-mv "$prof_dir"/cache/v6/*.json "$prof_dir/cache/"
+mv "$prof_dir/cache/v$schema"/*.json "$prof_dir/cache/"
 ./build/tools/deltanc_cli --batch "$prof_dir/req.jsonl" \
   --cache-dir "$prof_dir/cache" > "$prof_dir/flat.jsonl" 2> "$prof_dir/flat.err"
 grep -q 'hits=0 misses=3 stale=0 .*foreign=3$' "$prof_dir/flat.err" || {

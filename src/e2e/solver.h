@@ -9,7 +9,7 @@
 // SolveOptions: the method, an optional scheduler override, an optional
 // fixed Delta, the EDF retry policy, and the warm-start policy all live
 // in one struct -- which is also exactly what the persistent result
-// cache hashes (io::solve_cache_key), so "what was solved" and "what
+// cache hashes (io::cache_key), so "what was solved" and "what
 // keys the cache" can never drift apart.  The free-function shims were
 // retired in PR 9; scripts/check.sh gates against their return.
 //

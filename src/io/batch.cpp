@@ -1,5 +1,6 @@
 #include "io/batch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -25,11 +26,11 @@ using json::Value;
 /// One input line's lifecycle through the batch.
 struct Request {
   bool parsed = false;
+  bool ok = true;          ///< false when the solve failed (classified)
   std::string error;       ///< parse/decode failure when !parsed
   ParsedRequestLine line;  ///< valid when parsed
   CacheLookup outcome = CacheLookup::kMiss;
-  SweepPoint point;            ///< the scalar answer (cache hit or solve)
-  e2e::DelayProfile profile;  ///< the answer when line.is_profile()
+  e2e::DelayProfile answer;  ///< cache hit or solve
 };
 
 }  // namespace
@@ -63,16 +64,11 @@ ParsedRequestLine parse_request_line(const std::string& line,
     if (const Value* o = doc.find("options"); o != nullptr && !o->is_null()) {
       options = decode_solve_options(*o);
     }
-    // Fold the scheduler override into the scenario here (not just inside
-    // solve_cache_key) so grouping by options groups by what actually
-    // varies the solve.
-    if (options.scheduler.has_value()) {
-      sc.scheduler = *options.scheduler;
-      options.scheduler.reset();
-    }
-    // A non-null "epsilons" array makes this a profile request.  The
-    // grid is validated here so a malformed one is a parse error (the
-    // engine would throw the same complaint mid-solve otherwise).
+    // A non-null "epsilons" array asks for that grid; it is validated
+    // here so a malformed one is a parse error (the engine would throw
+    // the same complaint mid-solve otherwise).  A line without one is
+    // the one-level profile of its own epsilon, which the solve's
+    // scenario validation classifies when out of range.
     if (const Value* eps = doc.find("epsilons");
         eps != nullptr && !eps->is_null()) {
       for (const Value& e : eps->items()) {
@@ -87,12 +83,17 @@ ParsedRequestLine parse_request_line(const std::string& line,
         throw CodecError("batch: profile request with an empty epsilons "
                          "array");
       }
+      req.carried_epsilons = true;
+    } else {
+      req.epsilons.push_back(sc.epsilon);
     }
+    // Canonicalize here (not just inside cache_key) so grouping by
+    // options groups by what actually varies the solve, and a one-level
+    // request solves cold.
+    canonicalize_request(sc, options, req.epsilons.size());
     req.scenario = sc;
     req.options = options;
-    req.key = req.is_profile()
-                  ? profile_cache_key(sc, req.epsilons, options)
-                  : solve_cache_key(sc, options);
+    req.key = cache_key(sc, req.epsilons, options);
   } catch (const PartialRequestError&) {
     throw;
   } catch (const std::exception& e) {
@@ -125,6 +126,16 @@ ProfileAnswer solve_profile_request(const deltanc::Solver& solver,
     out.profile.levels.assign(epsilons.size(), failed);
   }
   return out;
+}
+
+json::Value make_answer_response(const ParsedRequestLine& line,
+                                 bool with_cache_tag, CacheLookup outcome,
+                                 const e2e::DelayProfile& answer) {
+  if (line.is_profile()) {
+    return make_ok_profile_response(line.id, with_cache_tag, outcome, answer);
+  }
+  return make_ok_response(line.id, with_cache_tag, outcome,
+                          answer.levels.front());
 }
 
 json::Value make_ok_response(const json::Value& id, bool with_cache_tag,
@@ -200,13 +211,9 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   for (std::size_t i = 0; i < requests.size(); ++i) {
     Request& req = requests[i];
     if (!req.parsed) continue;
-    if (options.cache == nullptr) {
-      pending.push_back(i);
-      continue;
+    if (options.cache != nullptr) {
+      req.outcome = options.cache->lookup_profile(req.line.key, req.answer);
     }
-    req.outcome = req.line.is_profile()
-                      ? options.cache->lookup_profile(req.line.key, req.profile)
-                      : options.cache->lookup(req.line.key, req.point.bound);
     if (req.outcome == CacheLookup::kHit) {
       ++summary.cached;
     } else {
@@ -215,56 +222,13 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   }
 
   // ----- solve pass: group misses by options, fan out per group ----------
-  // Profile requests fan out separately (their unit of work is a whole
-  // d(epsilon) grid, not one BoundResult) but share the progress stream.
   std::map<std::string, std::vector<std::size_t>> groups;
-  std::map<std::string, std::vector<std::size_t>> profile_groups;
   for (const std::size_t i : pending) {
-    auto& bucket =
-        requests[i].line.is_profile() ? profile_groups : groups;
-    bucket[encode_solve_options(requests[i].line.options).dump()].push_back(i);
+    groups[encode_solve_options(requests[i].line.options).dump()].push_back(i);
   }
   const std::size_t total_pending = pending.size();
   std::size_t done_offset = 0;
   for (const auto& [options_key, members] : groups) {
-    (void)options_key;
-    const Solver solver(requests[members.front()].line.options);
-    std::vector<e2e::Scenario> scenarios;
-    scenarios.reserve(members.size());
-    for (const std::size_t i : members) {
-      scenarios.push_back(requests[i].line.scenario);
-    }
-    SweepOptions sweep;
-    sweep.threads = options.threads;
-    sweep.method = solver.options().method;
-    sweep.solver = [&solver](const e2e::Scenario& sc, e2e::Method) {
-      return solver.solve(sc);
-    };
-    if (options.progress) {
-      sweep.progress = [&options, done_offset,
-                        total_pending](std::size_t done, std::size_t) {
-        options.progress(done_offset + done, total_pending);
-      };
-    }
-    const SweepReport report = SweepRunner(sweep).run(
-        std::span<const e2e::Scenario>(scenarios));
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      Request& req = requests[members[j]];
-      req.point = report.points[j];
-      if (req.point.ok && options.cache != nullptr) {
-        // A failed store (full disk, read-only directory) degrades to a
-        // counted solve-through -- the batch keeps answering.
-        (void)options.cache->try_store(req.line.key, req.point.bound);
-      }
-      summary.stats += req.point.bound.stats;
-      ++summary.solved;
-      if (!req.point.ok) ++summary.failed;
-    }
-    done_offset += members.size();
-  }
-
-  // ----- profile solve pass ----------------------------------------------
-  for (const auto& [options_key, members] : profile_groups) {
     (void)options_key;
     const Solver solver(requests[members.front()].line.options);
     const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
@@ -281,9 +245,8 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
         Request& req = requests[members[j]];
         ProfileAnswer answer = solve_profile_request(
             solver, req.line.scenario, req.line.epsilons);
-        req.point.ok = answer.ok;
-        req.point.error = answer.error;
-        req.profile = std::move(answer.profile);
+        req.ok = answer.ok;
+        req.answer = std::move(answer.profile);
         if (options.progress) {
           std::lock_guard<std::mutex> lock(progress_mu);
           options.progress(done_offset + ++group_done, total_pending);
@@ -297,12 +260,15 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     }
     for (const std::size_t i : members) {
       Request& req = requests[i];
-      if (req.point.ok && options.cache != nullptr) {
-        (void)options.cache->try_store_profile(req.line.key, req.profile);
+      if (req.ok && options.cache != nullptr) {
+        // A failed store (full disk, read-only directory) degrades to a
+        // counted solve-through -- the batch keeps answering.
+        (void)options.cache->try_store(req.line.key, req.answer);
       }
-      summary.stats += req.profile.stats;
+      summary.stats += req.line.is_profile() ? req.answer.stats
+                                             : req.answer.levels.front().stats;
       ++summary.solved;
-      if (!req.point.ok) ++summary.failed;
+      if (!req.ok) ++summary.failed;
     }
     done_offset += members.size();
   }
@@ -313,12 +279,9 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     if (!req.parsed) {
       response = make_error_response(req.line.id, req.error);
       ++summary.parse_errors;
-    } else if (req.line.is_profile()) {
-      response = make_ok_profile_response(
-          req.line.id, options.cache != nullptr, req.outcome, req.profile);
     } else {
-      response = make_ok_response(req.line.id, options.cache != nullptr,
-                                  req.outcome, req.point.bound);
+      response = make_answer_response(req.line, options.cache != nullptr,
+                                      req.outcome, req.answer);
     }
     out << response.dump() << '\n';
     if (!out.good()) {

@@ -4,35 +4,40 @@
 //   {"schema": N, "scenario": {...}, "options": {...}, "id": <any>}
 //   {"schema": N, "scenario": {...}, "epsilons": [...], ...}
 // "options" (see io::decode_solve_options) and "id" are optional; blank
-// lines are skipped.  A non-empty "epsilons" array makes the line a
-// *profile* request: the whole d(epsilon) grid is solved (or served from
-// the cache) as one artifact.  Output: one JSON response per request,
-// streamed in *input order*:
+// lines are skipped.  Every request is a delay profile: a line with a
+// non-empty "epsilons" array asks for that d(epsilon) grid, a line
+// without one for the one-level grid [scenario.epsilon].  Output: one
+// JSON response per request, streamed in *input order*:
 //   {"schema": N, "id": <echoed>, "ok": true,  "cache": "hit"|"miss"|
-//    "stale"|"corrupt", "result": {...}}            -- solved/served
-//     (the "cache" field appears only when a ResultCache is attached)
+//    "stale"|"corrupt", "result": {...}}            -- line without
+//     (the "cache" field appears only when a         "epsilons": the
+//      ResultCache is attached)                      single level
 //   {"schema": N, "id": <echoed>, "ok": true,  ["cache"], "profile":
-//    {...}}                                         -- profile request
+//    {...}}                                         -- line with "epsilons"
 //   {"schema": N, "id": <echoed>, "ok": false, "error": "..."}
 //                                                    -- unparseable line
+// Which of the first two shapes a line gets is decided at encoding
+// (make_answer_response) and nowhere else.
 //
 // Caching: with a ResultCache attached, every request is looked up
-// first; hits are answered without solving, and every solved result is
-// stored back.  A stale entry (other library version) and a corrupt
-// entry (unreadable bytes) both re-solve and overwrite.  The response's
-// "cache" tag is the only record of how an answer was obtained: the
-// "result" / "profile" payload is byte-identical whichever way it came.
+// first; hits are answered without solving, and every solved profile is
+// stored back.  A scalar line and a one-level profile line of the same
+// scenario share one key and one entry.  A stale entry (other library
+// version) and a corrupt entry (unreadable bytes) both re-solve and
+// overwrite.  The response's "cache" tag is the only record of how an
+// answer was obtained: the "result" / "profile" payload is
+// byte-identical whichever way it came.
 //
-// Parallelism: cache misses are grouped by solve options and fanned out
-// through SweepRunner, so a cold batch gets the same thread scaling as a
-// sweep while responses stay deterministically ordered.
+// Parallelism: cache misses are grouped by solve options and each group
+// is fanned out over a thread pool claiming requests from a shared
+// cursor, while responses stay deterministically ordered.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <vector>
 
-#include "core/sweep.h"
 #include "io/result_cache.h"
 
 namespace deltanc {
@@ -43,7 +48,7 @@ namespace deltanc::io {
 
 struct BatchOptions {
   /// Worker count for the solve fan-out; 0 = DELTANC_THREADS env or
-  /// hardware_concurrency() (SweepRunner's resolution).
+  /// hardware_concurrency() (ThreadPool::default_thread_count()).
   int threads = 0;
   /// Method used when a request carries no "options" object.
   e2e::Method default_method = e2e::Method::kExactOpt;
@@ -70,7 +75,10 @@ struct BatchSummary {
   bool output_failed = false;
   double wall_ms = 0.0;           ///< end-to-end wall clock
   e2e::SolveStats stats{};        ///< solver work of this run's solves
-                                  ///<   (cache hits add nothing)
+                                  ///<   (cache hits add nothing; a line
+                                  ///<   without "epsilons" adds its
+                                  ///<   level's stats, so profile_levels
+                                  ///<   counts profile lines only)
   CacheStats cache_stats{};       ///< cache traffic of this run
 };
 
@@ -87,17 +95,23 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
 // consumed by both paths.
 
 /// One parsed request line: the effective scenario (scheduler override
-/// folded in), canonical options, and the cache key they hash to.
+/// folded in), canonical options, its epsilon levels, and the cache key
+/// they hash to.
 struct ParsedRequestLine {
   json::Value id;          ///< echoed verbatim (null when absent)
   e2e::Scenario scenario;  ///< effective (scheduler override folded in)
-  SolveOptions options;    ///< canonical (scheduler cleared)
-  /// Non-empty for profile requests: the d(epsilon) grid to solve,
-  /// validated at parse time (each level in (0, 1)).
+  SolveOptions options;    ///< canonical (io::canonicalize_request)
+  /// The levels to solve: the line's "epsilons" grid (validated at
+  /// parse time, each level in (0, 1)), or [scenario.epsilon] for a
+  /// line without one (left to the solve's scenario validation, so an
+  /// out-of-range epsilon is a classified answer, not a parse error).
   std::vector<double> epsilons;
-  std::string key;  ///< io::solve_cache_key / profile_cache_key
+  bool carried_epsilons = false;  ///< the line had an "epsilons" array
+  std::string key;  ///< io::cache_key(scenario, epsilons, options)
 
-  [[nodiscard]] bool is_profile() const noexcept { return !epsilons.empty(); }
+  /// True when the answer goes out under "profile" (the line carried
+  /// "epsilons"); false for the single-level "result" shape.
+  [[nodiscard]] bool is_profile() const noexcept { return carried_epsilons; }
 };
 
 /// Parses one JSONL request line ({"schema", "scenario", "options"?,
@@ -118,7 +132,7 @@ struct PartialRequestError : std::runtime_error {
 /// Stable wire name of a lookup outcome ("hit"/"miss"/"stale"/"corrupt").
 [[nodiscard]] const char* cache_lookup_name(CacheLookup outcome);
 
-/// Outcome of solving one profile request (solve_profile_request).
+/// Outcome of solving one request (solve_profile_request).
 struct ProfileAnswer {
   bool ok = true;     ///< false when the scenario failed to validate or
                       ///< the solve threw
@@ -127,18 +141,27 @@ struct ProfileAnswer {
                               ///< classified +inf bound
 };
 
-/// Solves one profile request with exactly SweepRunner's classification
+/// Solves one request's levels with SweepRunner's classification
 /// discipline (validate first -> kInvalidScenario naming every bad
-/// field; a throwing solve -> kNumericalDomain), shared by run_batch and
-/// the serve workers so both paths answer byte-identically.  Failures
-/// still produce a full K-level profile of classified +inf bounds, so a
-/// profile response is always ok=true with per-level diagnostics, like
-/// the scalar path.
+/// field; a throwing solve -> kNumericalDomain).  It is the one solve
+/// step of run_batch and the serve workers, so both paths answer
+/// byte-identically.  Failures still produce a full K-level profile of
+/// classified +inf bounds, so every answer is ok=true with per-level
+/// diagnostics.  A cold level is bit-identical to Solver::solve of the
+/// scenario at that epsilon.
 [[nodiscard]] ProfileAnswer solve_profile_request(
     const deltanc::Solver& solver, const e2e::Scenario& sc,
     std::span<const double> epsilons);
 
-/// The solved/served response document ({"schema", "id", "ok": true,
+/// The answer response of a parsed request: make_ok_profile_response
+/// when the line carried "epsilons", else make_ok_response of the single
+/// level.  The only place the two wire shapes part.
+[[nodiscard]] json::Value make_answer_response(const ParsedRequestLine& line,
+                                               bool with_cache_tag,
+                                               CacheLookup outcome,
+                                               const e2e::DelayProfile& answer);
+
+/// The single-level response document ({"schema", "id", "ok": true,
 /// ["cache"], "result"}); `with_cache_tag` mirrors "a ResultCache is
 /// attached".
 [[nodiscard]] json::Value make_ok_response(const json::Value& id,

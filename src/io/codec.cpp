@@ -594,47 +594,26 @@ SolveOptions decode_solve_options(const Value& v) {
   return options;
 }
 
-namespace {
-
-/// Folds the scheduler override into the scenario so "FIFO scenario
-/// overridden to EDF" and "EDF scenario" key identically -- they solve
-/// identically.
-void canonicalize_solve(e2e::Scenario& sc, SolveOptions& options) {
+void canonicalize_request(e2e::Scenario& sc, SolveOptions& options,
+                          std::size_t levels) {
   if (options.scheduler.has_value()) {
     sc.scheduler = *options.scheduler;
     options.scheduler.reset();
   }
+  if (levels == 1) options.warm_start = e2e::WarmStart::kCold;
 }
 
-}  // namespace
-
-std::string solve_cache_key(const e2e::Scenario& sc,
-                            const SolveOptions& options) {
+std::string cache_key(const e2e::Scenario& sc,
+                      std::span<const double> epsilons,
+                      const SolveOptions& options) {
   SolveOptions canonical = options;
   e2e::Scenario effective = sc;
-  canonicalize_solve(effective, canonical);
-  Value key = Value::object();
-  key.set("kind", Value::string("solve"))
-      .set("scenario", encode_scenario(effective))
-      .set("options", encode_solve_options(canonical));
-  return key.dump();
-}
-
-std::string profile_cache_key(const e2e::Scenario& sc,
-                              std::span<const double> epsilons,
-                              const SolveOptions& options) {
-  SolveOptions canonical = options;
-  e2e::Scenario effective = sc;
-  canonicalize_solve(effective, canonical);
-  // A profile solves the grid, never the scenario's scalar epsilon, so
-  // two requests differing only there must share the entry: pin the
-  // scenario epsilon to the first grid level.
+  canonicalize_request(effective, canonical, epsilons.size());
   if (!epsilons.empty()) effective.epsilon = epsilons.front();
   Value eps = Value::array();
   for (double e : epsilons) eps.push_back(encode_double(e));
   Value key = Value::object();
-  key.set("kind", Value::string("profile"))
-      .set("scenario", encode_scenario(effective))
+  key.set("scenario", encode_scenario(effective))
       .set("options", encode_solve_options(canonical))
       .set("epsilons", std::move(eps));
   return key.dump();

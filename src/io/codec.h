@@ -13,9 +13,9 @@
 // never even opens an older entry (io/result_cache.h).
 //
 // Canonicalization: encoders emit fields in a fixed documented order and
-// the compact dump() is byte-stable for a given input, so
-// solve_cache_key() -- the compact dump of (kind, scenario, solve
-// options) -- is a canonical content hash input.
+// the compact dump() is byte-stable for a given input, so cache_key() --
+// the compact dump of (scenario, solve options, epsilon levels) -- is a
+// canonical content hash input.
 //
 // Answers, not provenance: an encoded BoundResult / DelayProfile is a
 // pure function of the solve's inputs.  How an answer was obtained (the
@@ -43,8 +43,11 @@ namespace deltanc::io {
 /// (epsilons, levels, stats with the profile_* counters) join the wire
 /// format; 6 = stats lose their provenance fields (the per-result
 /// cache-outcome counters and the scan/refine wall-clock timings) and
-/// cache entries move under a per-schema `v6/` directory.
-inline constexpr int kSchemaVersion = 6;
+/// cache entries move under a per-schema `v6/` directory; 7 = one answer
+/// type: a scalar request is a one-level profile, so cache keys lose the
+/// "kind" discriminator (every key names its epsilon levels) and every
+/// cache entry holds a delay profile.
+inline constexpr int kSchemaVersion = 7;
 
 /// A structurally valid JSON document that does not decode as the
 /// requested type (missing/mistyped fields, unknown enum names, bad
@@ -126,26 +129,28 @@ struct SchemaError : CodecError {
 [[nodiscard]] json::Value encode_solve_options(const SolveOptions& options);
 [[nodiscard]] SolveOptions decode_solve_options(const json::Value& v);
 
-/// The canonical cache key for "this scenario solved with these
-/// options": the compact dump of {"kind": "solve", "scenario",
-/// "options"} with the scheduler override already folded into the
-/// scenario.  Two solves get the same key iff the codec cannot
-/// distinguish their inputs.  The "kind" discriminator keeps scalar and
-/// profile entries in disjoint key spaces.  The schema version is not
-/// part of the key: it names the cache's epoch directory instead.
-[[nodiscard]] std::string solve_cache_key(const e2e::Scenario& sc,
-                                          const SolveOptions& options);
+/// Folds away what cannot change a request's answer: the scheduler
+/// override moves into the scenario ("FIFO scenario overridden to EDF"
+/// and "EDF scenario" solve identically), and a request of `levels` == 1
+/// solves cold -- warm_start only changes how levels after the first
+/// reuse the chain, so a scalar request and a one-level profile are the
+/// same cold solve.
+void canonicalize_request(e2e::Scenario& sc, SolveOptions& options,
+                          std::size_t levels);
 
-/// The canonical cache key for "this scenario's delay profile over this
-/// epsilon grid under these options": the compact dump of {"kind":
-/// "profile", "scenario", "options", "epsilons"} with the scenario's own
-/// epsilon canonicalized to the first grid level (a profile solves the
-/// grid, never the scenario's scalar epsilon, so two scenarios differing
-/// only there must share the entry).  Epsilons keep their order: the
-/// levels are positional.
-[[nodiscard]] std::string profile_cache_key(const e2e::Scenario& sc,
-                                            std::span<const double> epsilons,
-                                            const SolveOptions& options);
+/// The canonical cache key for "this scenario's delay profile over these
+/// epsilon levels under these options": the compact dump of
+/// {"scenario", "options", "epsilons"} after canonicalize_request, with
+/// the scenario's own epsilon pinned to the first level (a profile
+/// solves the levels, never the scenario's epsilon, so two requests
+/// differing only there share the entry).  A scalar request is the
+/// one-level profile [scenario.epsilon].  Two requests get the same key
+/// iff the codec cannot distinguish their inputs; epsilons keep their
+/// order (the levels are positional).  The schema version is not part
+/// of the key: it names the cache's epoch directory instead.
+[[nodiscard]] std::string cache_key(const e2e::Scenario& sc,
+                                    std::span<const double> epsilons,
+                                    const SolveOptions& options);
 
 // ----- helpers shared by the cache / batch layers ------------------------
 

@@ -125,13 +125,11 @@ std::filesystem::path ResultCache::entry_path(std::string_view key) const {
 
 namespace {
 
-/// Shared classification body of lookup and lookup_profile:
-/// `decode_payload` pulls the type-specific payload out of a structurally
-/// valid, schema-current, key-matching entry.
-template <typename DecodePayload>
+/// Reads and classifies the entry at `path`; decodes its profile into
+/// `profile` only when the entry is a hit for `key`.
 CacheLookup classify_entry(const std::filesystem::path& path,
                            const std::string& key,
-                           DecodePayload&& decode_payload) {
+                           e2e::DelayProfile& profile) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return CacheLookup::kMiss;
   std::ostringstream text;
@@ -150,7 +148,10 @@ CacheLookup classify_entry(const std::filesystem::path& path,
     // The stored full key disambiguates FNV collisions: a different key
     // in the same slot is somebody else's entry, i.e. a miss.
     if (entry.at("key").as_string() != key) return CacheLookup::kMiss;
-    decode_payload(entry);
+    e2e::DelayProfile decoded = decode_delay_profile(entry.at("profile"));
+    // Every key names at least one level, so an empty answer is damage.
+    if (decoded.levels.empty()) return CacheLookup::kCorrupt;
+    profile = std::move(decoded);
   } catch (const json::ParseError&) {
     return CacheLookup::kCorrupt;
   } catch (const json::TypeError&) {
@@ -184,44 +185,20 @@ void ResultCache::count(CacheLookup outcome) noexcept {
   }
 }
 
-CacheLookup ResultCache::lookup(const std::string& key,
-                                e2e::BoundResult& result) {
-  const CacheLookup outcome =
-      classify_entry(entry_path(key), key, [&](const json::Value& entry) {
-        result = decode_bound_result(entry.at("result"));
-      });
-  count(outcome);
-  return outcome;
-}
-
 CacheLookup ResultCache::lookup_profile(const std::string& key,
                                         e2e::DelayProfile& profile) {
-  const CacheLookup outcome =
-      classify_entry(entry_path(key), key, [&](const json::Value& entry) {
-        profile = decode_delay_profile(entry.at("profile"));
-      });
+  const CacheLookup outcome = classify_entry(entry_path(key), key, profile);
   count(outcome);
   return outcome;
-}
-
-void ResultCache::store(const std::string& key,
-                        const e2e::BoundResult& result) {
-  write_entry(key, "result", encode_bound_result(result));
 }
 
 void ResultCache::store_profile(const std::string& key,
                                 const e2e::DelayProfile& profile) {
-  write_entry(key, "profile", encode_delay_profile(profile));
-}
-
-void ResultCache::write_entry(const std::string& key,
-                              const char* payload_field,
-                              json::Value payload) {
   json::Value entry = json::Value::object();
   entry.set("schema", json::Value::number(kSchemaVersion))
       .set("version", json::Value::string(DELTANC_VERSION_STRING))
       .set("key", json::Value::string(key))
-      .set(payload_field, std::move(payload));
+      .set("profile", encode_delay_profile(profile));
 
   const std::filesystem::path path = entry_path(key);
   std::filesystem::path tmp = path;
@@ -244,15 +221,15 @@ void ResultCache::write_entry(const std::string& key,
   ++stats_.stores;
 }
 
-template <typename Store>
-bool ResultCache::try_write(Store&& store) noexcept {
+bool ResultCache::try_store(const std::string& key,
+                            const e2e::DelayProfile& profile) noexcept {
   if (injected_store_failures_ > 0) {
     --injected_store_failures_;
     ++stats_.store_failures;
     return false;
   }
   try {
-    store();
+    store_profile(key, profile);
     return true;
   } catch (...) {
     ++stats_.store_failures;
@@ -260,14 +237,22 @@ bool ResultCache::try_write(Store&& store) noexcept {
   }
 }
 
-bool ResultCache::try_store(const std::string& key,
-                            const e2e::BoundResult& result) noexcept {
-  return try_write([&] { store(key, result); });
+CacheLookup ResultCache::lookup(const std::string& key,
+                                e2e::BoundResult& result) {
+  e2e::DelayProfile profile;
+  const CacheLookup outcome = lookup_profile(key, profile);
+  if (outcome == CacheLookup::kHit) result = profile.levels.front();
+  return outcome;
 }
 
-bool ResultCache::try_store_profile(const std::string& key,
-                                    const e2e::DelayProfile& profile) noexcept {
-  return try_write([&] { store_profile(key, profile); });
+void ResultCache::store(const std::string& key,
+                        const e2e::BoundResult& result) {
+  e2e::DelayProfile one{
+      {decode_double(json::Value::parse(key).at("epsilons").at(0))},
+      {result},
+      result.stats};
+  one.stats.profile_levels = 1;  // what solve_profile counts for one level
+  store_profile(key, one);
 }
 
 }  // namespace deltanc::io

@@ -1,11 +1,18 @@
-// Content-addressed persistent result cache for solved delay bounds.
+// Content-addressed persistent result cache for solved delay profiles.
 //
-// Keying: entries are addressed by the canonical cache key of
-// io::solve_cache_key (the compact JSON dump of the effective scenario +
-// solve options) hashed with 64-bit FNV-1a into the file name
+// Keying: entries are addressed by the canonical key of io::cache_key
+// (the compact JSON dump of the effective scenario, solve options and
+// epsilon levels) hashed with 64-bit FNV-1a into the file name
 // `<16 hex digits>.json`.  The full key string is stored *inside* each
 // entry and compared on lookup, so a hash collision degrades to a miss,
 // never to a wrong answer.
+//
+// One answer type: every entry holds an encoded e2e::DelayProfile.  A
+// scalar request is the one-level profile [scenario.epsilon], so it
+// keys, stores and reads exactly like a profile request over that level
+// (lookup_profile / store_profile / try_store).  The BoundResult
+// lookup/store overloads are thin views over that one path for callers
+// that hold a single level.
 //
 // Layout: entries live at `<dir>/v<kSchemaVersion>/<fnv>.json`, one
 // directory per wire schema.  A schema bump therefore never opens an
@@ -21,15 +28,9 @@
 // CacheStats and in the response's "cache" tag -- re-solves, and is
 // overwritten.
 //
-// Answers only: an entry holds exactly the encoded BoundResult /
-// DelayProfile, a pure function of its key.  How a response was
-// obtained is the caller's to record (CacheLookup, CacheStats), never
-// part of the stored bytes.
-//
-// Profiles: delay profiles (e2e::DelayProfile) are first-class entries
-// addressed by io::profile_cache_key -- a disjoint key space thanks to
-// the "kind" discriminator -- with the same staleness, doctoring, and
-// atomic-store semantics as scalar entries.
+// Answers only: an entry holds exactly the encoded DelayProfile, a pure
+// function of its key.  How a response was obtained is the caller's to
+// record (CacheLookup, CacheStats), never part of the stored bytes.
 //
 // Durability: stores write to `<name>.tmp.<pid>` next to the entry and
 // rename(2) into place, so concurrent writers and crashes can leave at
@@ -40,7 +41,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <span>
 #include <string>
 
 #include "io/codec.h"
@@ -86,8 +86,8 @@ struct CacheShard {
   int count = 1;
 };
 
-/// Filesystem-backed store of BoundResults addressed by canonical solve
-/// key.  Lookup/store are safe to call from one thread at a time per
+/// Filesystem-backed store of DelayProfiles addressed by canonical
+/// cache key.  Lookup/store are safe to call from one thread at a time per
 /// ResultCache object; distinct processes sharing a directory are safe
 /// against each other thanks to the atomic rename stores.
 class ResultCache {
@@ -140,89 +140,44 @@ class ResultCache {
   /// directory (exposed for tests that doctor entries on disk).
   [[nodiscard]] std::filesystem::path entry_path(std::string_view key) const;
 
-  /// Looks up `key`; fills `result` only on kHit.  Every outcome bumps
+  /// Looks up `key`; fills `profile` only on kHit.  Every outcome bumps
   /// the matching CacheStats counter.
-  [[nodiscard]] CacheLookup lookup(const std::string& key,
-                                   e2e::BoundResult& result);
-
-  /// Looks up a delay-profile entry by canonical profile key; fills
-  /// `profile` only on kHit.
   [[nodiscard]] CacheLookup lookup_profile(const std::string& key,
                                            e2e::DelayProfile& profile);
 
   /// Stores (overwriting any previous entry -- including stale and
   /// corrupt ones) via atomic tmp + rename.
   /// @throws std::runtime_error when the entry cannot be written.
-  void store(const std::string& key, const e2e::BoundResult& result);
+  void store_profile(const std::string& key, const e2e::DelayProfile& profile);
 
   /// Non-throwing store: a failed write (read-only directory, full
   /// disk, or a fail_next_stores fault) bumps
   /// CacheStats::store_failures and returns false so callers degrade to
   /// solve-through instead of aborting mid-batch.
   bool try_store(const std::string& key,
-                 const e2e::BoundResult& result) noexcept;
+                 const e2e::DelayProfile& profile) noexcept;
 
-  /// Profile counterparts of store/try_store: same atomic tmp + rename,
-  /// same fault injection, entry payload under "profile" instead of
-  /// "result".
-  void store_profile(const std::string& key, const e2e::DelayProfile& profile);
-  bool try_store_profile(const std::string& key,
-                         const e2e::DelayProfile& profile) noexcept;
+  /// Single-level view of lookup_profile: fills `result` with the
+  /// entry's first level on kHit.
+  [[nodiscard]] CacheLookup lookup(const std::string& key,
+                                   e2e::BoundResult& result);
+
+  /// Single-level view of store_profile for a one-level key (a scalar
+  /// request's io::cache_key): writes byte for byte the entry the solved
+  /// one-level profile would.
+  /// @throws std::runtime_error as store_profile, or when `key` names
+  /// no epsilon level.
+  void store(const std::string& key, const e2e::BoundResult& result);
 
   /// Deterministic fault injection: the next `n` try_store calls fail
   /// (counted as store_failures) without touching the disk -- a
   /// full-disk simulation for tests and serve::FaultPlan.
   void fail_next_stores(int n) noexcept { injected_store_failures_ += n; }
 
-  /// Convenience: lookup by (scenario, options); on anything but a hit,
-  /// solves via `solve` and stores the result.  The returned result
-  /// encodes identically whichever way it was obtained (only the
-  /// in-process timings differ); `outcome` says which way that was.
-  template <typename Solve>
-  e2e::BoundResult solve_through(const e2e::Scenario& sc,
-                                 const SolveOptions& options, Solve&& solve,
-                                 CacheLookup* outcome = nullptr) {
-    const std::string key = solve_cache_key(sc, options);
-    e2e::BoundResult result;
-    const CacheLookup found = lookup(key, result);
-    if (outcome != nullptr) *outcome = found;
-    if (found == CacheLookup::kHit) return result;
-    result = solve();
-    store(key, result);
-    return result;
-  }
-
-  /// Profile counterpart of solve_through: lookup by (scenario,
-  /// epsilons, options); on anything but a hit, solves the whole profile
-  /// via `solve` and stores it.
-  template <typename Solve>
-  e2e::DelayProfile solve_profile_through(const e2e::Scenario& sc,
-                                          std::span<const double> epsilons,
-                                          const SolveOptions& options,
-                                          Solve&& solve,
-                                          CacheLookup* outcome = nullptr) {
-    const std::string key = profile_cache_key(sc, epsilons, options);
-    e2e::DelayProfile profile;
-    const CacheLookup found = lookup_profile(key, profile);
-    if (outcome != nullptr) *outcome = found;
-    if (found == CacheLookup::kHit) return profile;
-    profile = solve();
-    store_profile(key, profile);
-    return profile;
-  }
-
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
  private:
-  /// Shared store body: writes {"schema", "version", "key",
-  /// <payload_field>: payload} via atomic tmp + rename.
-  void write_entry(const std::string& key, const char* payload_field,
-                   json::Value payload);
-  /// Shared try_store body: honors injected failures, runs `store`, and
-  /// counts any failure instead of throwing.
-  template <typename Store>
-  bool try_write(Store&& store) noexcept;
   void count(CacheLookup outcome) noexcept;
 
   std::filesystem::path dir_;

@@ -80,16 +80,13 @@ struct SolveService::Impl {
     Clock::time_point busy_since{};
     std::thread thread;
 
-    // The warm layers.  `memory` holds results (the same answers the
-    // disk entries hold) with FIFO eviction; `disk` is this shard's handle on the shared cache
-    // directory, swapped by reload() (retired stats accumulate the
-    // traffic of replaced handles).  Profile entries live in their own
-    // map (same keys cannot collide: the "kind" discriminator keeps the
-    // key spaces disjoint) with the same eviction budget.
-    std::map<std::string, e2e::BoundResult> memory;
+    // The warm layers.  `memory` holds answers (the same profiles the
+    // disk entries hold, scalar requests as one-level profiles) with FIFO
+    // eviction under the one memory_entries budget; `disk` is this
+    // shard's handle on the shared cache directory, swapped by reload()
+    // (retired stats accumulate the traffic of replaced handles).
+    std::map<std::string, e2e::DelayProfile> memory;
     std::deque<std::string> memory_order;
-    std::map<std::string, e2e::DelayProfile> profile_memory;
-    std::deque<std::string> profile_memory_order;
     std::unique_ptr<io::ResultCache> disk;
     io::CacheStats retired{};
   };
@@ -234,12 +231,11 @@ struct SolveService::Impl {
   /// producing exactly the response bytes run_batch would.
   Value handle(Shard& shard, std::map<std::string, Solver>& solvers,
                const Job& job) {
-    if (job.line.is_profile()) return handle_profile(shard, solvers, job);
     const bool with_tag = !options.cache_dir.empty();
-    // Memory layer: solved results keyed by the canonical cache key.  A
-    // hit reports "hit" when a disk cache is attached (the batch
-    // baseline would hit disk) and "miss" otherwise (the baseline
-    // would re-solve; results are deterministic, so bytes still match).
+    // Memory layer: answers keyed by the canonical cache key.  A hit
+    // reports "hit" when a disk cache is attached (the batch baseline
+    // would hit disk) and "miss" otherwise (the baseline would re-solve;
+    // answers are deterministic, so bytes still match).
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       const auto it = shard.memory.find(job.line.key);
@@ -248,17 +244,17 @@ struct SolveService::Impl {
         bump(&ServeStats::memory_hits);
         const io::CacheLookup outcome =
             with_tag ? io::CacheLookup::kHit : io::CacheLookup::kMiss;
-        return io::make_ok_response(job.line.id, with_tag, outcome,
-                                    it->second);
+        return io::make_answer_response(job.line, with_tag, outcome,
+                                        it->second);
       }
     }
     // Disk layer.
     io::CacheLookup outcome = io::CacheLookup::kMiss;
     if (with_tag) {
-      e2e::BoundResult cached;
+      e2e::DelayProfile cached;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
-        outcome = shard.disk->lookup(job.line.key, cached);
+        outcome = shard.disk->lookup_profile(job.line.key, cached);
       }
       if ((outcome == io::CacheLookup::kHit ||
            outcome == io::CacheLookup::kStale) &&
@@ -271,110 +267,32 @@ struct SolveService::Impl {
       if (outcome == io::CacheLookup::kHit) {
         bump(&ServeStats::served);
         memory_insert(shard, job.line.key, cached);
-        return io::make_ok_response(job.line.id, true, outcome, cached);
+        return io::make_answer_response(job.line, true, outcome, cached);
       }
     }
-    // Solve, mirroring SweepRunner's classification exactly: validate
-    // first (kInvalidScenario with every bad field named), then let a
-    // throwing solve classify as kNumericalDomain.  Failures are still
-    // ok=true responses carrying the +inf bound, like the batch path.
-    bump(&ServeStats::solved);
-    SweepPoint p;
-    p.scenario = job.line.scenario;
-    const diag::ValidationReport vr = p.scenario.validate();
-    if (!vr.ok()) {
-      p.ok = false;
-      p.error = vr.message();
-      p.bound = e2e::BoundResult{std::numeric_limits<double>::infinity(),
-                                 0.0, 0.0, 0.0, 0.0};
-      p.bound.diagnostics.fail(diag::SolveErrorKind::kInvalidScenario,
-                               vr.message());
-    } else {
-      Solver& solver = solver_for(solvers, job.line.options);
-      try {
-        p.bound = solver.solve(p.scenario);
-      } catch (const std::exception& e) {
-        p.ok = false;
-        p.error = e.what();
-        p.bound = e2e::BoundResult{std::numeric_limits<double>::infinity(),
-                                   0.0, 0.0, 0.0, 0.0};
-        p.bound.diagnostics.fail(diag::SolveErrorKind::kNumericalDomain,
-                                 e.what());
-      }
-    }
-    if (!p.ok) bump(&ServeStats::failed);
-    if (p.ok) {
-      // A failed store is a counted solve-through; the service keeps
-      // answering (graceful degradation).
-      bool stored = true;
-      if (with_tag) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        stored = shard.disk->try_store(job.line.key, p.bound);
-      }
-      // After a failed store the memory layer must stay cold too: a
-      // warm hit would report cache:"hit" for a key the disk never
-      // recorded, diverging from a --batch run over the same directory
-      // (which misses and re-solves).
-      if (stored) memory_insert(shard, job.line.key, p.bound);
-    }
-    return io::make_ok_response(job.line.id, with_tag, outcome, p.bound);
-  }
-
-  /// Profile twin of handle(): the same memory -> disk -> solve
-  /// layering, with io::solve_profile_request supplying exactly
-  /// run_batch's classification so the response bytes match a --batch
-  /// run over the same cache directory.
-  Value handle_profile(Shard& shard, std::map<std::string, Solver>& solvers,
-                       const Job& job) {
-    const bool with_tag = !options.cache_dir.empty();
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.profile_memory.find(job.line.key);
-      if (it != shard.profile_memory.end()) {
-        bump(&ServeStats::served);
-        bump(&ServeStats::memory_hits);
-        const io::CacheLookup outcome =
-            with_tag ? io::CacheLookup::kHit : io::CacheLookup::kMiss;
-        return io::make_ok_profile_response(job.line.id, with_tag, outcome,
-                                            it->second);
-      }
-    }
-    io::CacheLookup outcome = io::CacheLookup::kMiss;
-    if (with_tag) {
-      e2e::DelayProfile cached;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        outcome = shard.disk->lookup_profile(job.line.key, cached);
-      }
-      if ((outcome == io::CacheLookup::kHit ||
-           outcome == io::CacheLookup::kStale) &&
-          faults.corrupt_next_load()) {
-        outcome = io::CacheLookup::kCorrupt;
-      }
-      if (outcome == io::CacheLookup::kHit) {
-        bump(&ServeStats::served);
-        profile_memory_insert(shard, job.line.key, cached);
-        return io::make_ok_profile_response(job.line.id, true, outcome,
-                                            cached);
-      }
-    }
+    // Solve with run_batch's own step, so the classification (and thus
+    // every failure's bytes) matches the batch path exactly.
     bump(&ServeStats::solved);
     io::ProfileAnswer answer = io::solve_profile_request(
         solver_for(solvers, job.line.options), job.line.scenario,
         job.line.epsilons);
     if (!answer.ok) bump(&ServeStats::failed);
     if (answer.ok) {
+      // A failed store is a counted solve-through; the service keeps
+      // answering (graceful degradation).
       bool stored = true;
       if (with_tag) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        stored = shard.disk->try_store_profile(job.line.key, answer.profile);
+        stored = shard.disk->try_store(job.line.key, answer.profile);
       }
-      if (stored) {
-        profile_memory_insert(shard, job.line.key, answer.profile);
-      }
+      // After a failed store the memory layer must stay cold too: a
+      // warm hit would report cache:"hit" for a key the disk never
+      // recorded, diverging from a --batch run over the same directory
+      // (which misses and re-solves).
+      if (stored) memory_insert(shard, job.line.key, answer.profile);
     }
-    return io::make_ok_profile_response(job.line.id, with_tag, outcome,
-                                        answer.profile);
+    return io::make_answer_response(job.line, with_tag, outcome,
+                                    answer.profile);
   }
 
   Solver& solver_for(std::map<std::string, Solver>& solvers,
@@ -386,27 +304,14 @@ struct SolveService::Impl {
   }
 
   void memory_insert(Shard& shard, const std::string& key,
-                     const e2e::BoundResult& result) {
+                     const e2e::DelayProfile& answer) {
     if (options.memory_entries == 0) return;
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.memory.emplace(key, result).second) {
+    if (shard.memory.emplace(key, answer).second) {
       shard.memory_order.push_back(key);
       while (shard.memory.size() > options.memory_entries) {
         shard.memory.erase(shard.memory_order.front());
         shard.memory_order.pop_front();
-      }
-    }
-  }
-
-  void profile_memory_insert(Shard& shard, const std::string& key,
-                             const e2e::DelayProfile& profile) {
-    if (options.memory_entries == 0) return;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.profile_memory.emplace(key, profile).second) {
-      shard.profile_memory_order.push_back(key);
-      while (shard.profile_memory.size() > options.memory_entries) {
-        shard.profile_memory.erase(shard.profile_memory_order.front());
-        shard.profile_memory_order.pop_front();
       }
     }
   }
@@ -566,8 +471,6 @@ struct SolveService::Impl {
       std::lock_guard<std::mutex> lock(shard.mu);
       shard.memory.clear();
       shard.memory_order.clear();
-      shard.profile_memory.clear();
-      shard.profile_memory_order.clear();
       if (shard.disk != nullptr) {
         shard.retired += shard.disk->stats();
         shard.disk.reset();  // release before reopening the same dir

@@ -1,8 +1,10 @@
 // The JSONL batch service: ordered responses, cache integration
 // (hit/stale/corrupt outcomes surfaced per response and in the
-// summary), and graceful handling of malformed request lines.  Whatever
-// the cache outcome, a response's "result"/"profile" payload is
-// byte-identical to the encoding of a fresh cold solve.
+// summary), and graceful handling of malformed request lines.  Every
+// request is a delay profile (a scalar line is the one-level profile of
+// its epsilon).  Whatever the cache outcome, a response's
+// "result"/"profile" payload is byte-identical to the encoding of a
+// fresh cold solve.
 #include "e2e/solver.h"
 #include "io/batch.h"
 
@@ -37,7 +39,8 @@ std::string request_line(const e2e::Scenario& sc, int id) {
 }
 
 std::string profile_request_line(const e2e::Scenario& sc, int id,
-                                 const std::vector<double>& epsilons) {
+                                 const std::vector<double>& epsilons,
+                                 const SolveOptions* options = nullptr) {
   Value eps = Value::array();
   for (double e : epsilons) eps.push_back(encode_double(e));
   Value req = Value::object();
@@ -45,7 +48,14 @@ std::string profile_request_line(const e2e::Scenario& sc, int id,
       .set("id", Value::number(id))
       .set("scenario", encode_scenario(sc))
       .set("epsilons", std::move(eps));
+  if (options != nullptr) req.set("options", encode_solve_options(*options));
   return req.dump();
+}
+
+/// The cache key of a scalar request: the one-level profile of the
+/// scenario's own epsilon.
+std::string scalar_key(const e2e::Scenario& sc) {
+  return cache_key(sc, std::vector<double>{sc.epsilon}, SolveOptions{});
 }
 
 std::vector<Value> parse_responses(const std::string& text) {
@@ -218,7 +228,7 @@ TEST(Batch, SecondRunAnswersFromCacheBitExactly) {
   // Version drift: an entry written by another library release is
   // stale, re-solved, and answered with the same bytes.
   const std::filesystem::path path =
-      cache.entry_path(solve_cache_key(scenarios[0], SolveOptions{}));
+      cache.entry_path(scalar_key(scenarios[0]));
   std::string text;
   {
     std::ifstream file(path, std::ios::binary);
@@ -258,7 +268,7 @@ TEST(Batch, CorruptEntryRecoversWithWarningAndOverwrite) {
   // Damage the entry on disk, then rerun: the batch must classify the
   // entry as corrupt, re-solve, say so in the "cache" tag, and repair
   // the cache.
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   std::ofstream(cache.entry_path(key), std::ios::trunc) << "not json";
 
   std::stringstream in(requests);
@@ -402,6 +412,85 @@ TEST(Batch, StoreFailureDegradesToCountedSolveThrough) {
 
 // ----- delay-profile requests --------------------------------------------
 
+TEST(Batch, ScalarLineAndOneLevelProfileLineShareOneEntry) {
+  // A scalar line is the one-level profile of its epsilon: it keys,
+  // solves and stores exactly like {"epsilons": [epsilon]} -- one entry
+  // on disk, whichever shape asked first -- and only the response shape
+  // ("result" vs "profile") tells the two apart.
+  const std::filesystem::path dir = fresh_cache_dir("deltanc_batch_one_level");
+  ResultCache cache(dir);
+  const e2e::Scenario sc = small_scenario(60);
+  SolveOptions warm;
+  warm.warm_start = e2e::WarmStart::kWarm;
+  const std::string scalar = request_line(sc, 0);
+  const std::string profile =
+      profile_request_line(sc, 1, {sc.epsilon}, &warm);
+  BatchOptions options;
+  options.cache = &cache;
+
+  std::stringstream first_in(scalar + "\n");
+  std::ostringstream first_out;
+  const BatchSummary first = run_batch(first_in, first_out, options);
+  EXPECT_EQ(first.cache_stats.misses, 1);
+  // A scalar's work is its level's stats: no profile is counted.
+  EXPECT_GT(first.stats.optimize_evals, 0);
+  EXPECT_EQ(first.stats.profile_levels, 0);
+
+  std::stringstream mixed_in(scalar + "\n" + profile + "\n");
+  std::ostringstream mixed_out;
+  const BatchSummary mixed = run_batch(mixed_in, mixed_out, options);
+  EXPECT_EQ(mixed.cached, 2);
+  EXPECT_EQ(mixed.solved, 0);
+  const std::vector<Value> responses = parse_responses(mixed_out.str());
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].at("cache").as_string(), "hit");
+  EXPECT_EQ(responses[1].at("cache").as_string(), "hit");
+  EXPECT_EQ(responses[1].find("result"), nullptr);
+  const e2e::DelayProfile got = decode_delay_profile(responses[1].at("profile"));
+  ASSERT_EQ(got.levels.size(), 1u);
+  EXPECT_EQ(got.epsilons[0], sc.epsilon);
+  EXPECT_EQ(responses[0].at("result").dump(), cold_bytes(sc));
+  EXPECT_EQ(encode_bound_result(got.levels[0]).dump(), cold_bytes(sc));
+
+  // One entry serves both shapes.
+  std::size_t entries = 0;
+  for (const auto& item : std::filesystem::directory_iterator(
+           cache.entry_path(scalar_key(sc)).parent_path())) {
+    entries += item.path().extension() == ".json" ? 1 : 0;
+  }
+  EXPECT_EQ(entries, 1u);
+}
+
+TEST(Batch, WarmOneLevelEdfProfileSolvesAsTheColdScalar) {
+  // warm_start only changes how levels after the first reuse the chain,
+  // so a one-level request solves cold.  For EDF that moves a warm
+  // one-level profile: the warm engine would run its only level at the
+  // reduced local budget and land on a slightly looser bound; the batch
+  // answers with the full-budget scalar value instead.
+  e2e::Scenario sc = small_scenario(60);
+  sc.hops = 4;
+  sc.epsilon = 1e-9;
+  sc.scheduler = sched::SchedulerKind::kEdf;
+  SolveOptions warm;
+  warm.warm_start = e2e::WarmStart::kWarm;
+  const std::vector<double> level = {sc.epsilon};
+  std::stringstream in(profile_request_line(sc, 0, level, &warm) + "\n");
+  std::ostringstream out;
+  (void)run_batch(in, out, BatchOptions{});
+  const std::vector<Value> responses = parse_responses(out.str());
+  ASSERT_EQ(responses.size(), 1u);
+  const e2e::DelayProfile got = decode_delay_profile(responses[0].at("profile"));
+  ASSERT_EQ(got.levels.size(), 1u);
+  EXPECT_EQ(encode_bound_result(got.levels[0]).dump(), cold_bytes(sc));
+  EXPECT_EQ(encode_delay_profile(got).dump(), cold_profile_bytes(sc, level));
+  // The engine's warm one-level path differs here (what the batch no
+  // longer answers); the cold value is the tighter one.
+  const e2e::DelayProfile engine_warm =
+      deltanc::Solver(warm).solve_profile(sc, level);
+  EXPECT_NE(engine_warm.levels[0].delay_ms, got.levels[0].delay_ms);
+  EXPECT_LE(got.levels[0].delay_ms, engine_warm.levels[0].delay_ms);
+}
+
 TEST(Batch, ProfileRequestsAnswerFullArtifactsInOrder) {
   // A profile request rides in the same stream as scalar ones; its
   // response carries the whole d(epsilon) artifact under "profile", and
@@ -443,8 +532,8 @@ TEST(Batch, ProfileSecondRunAnswersFromCacheBitExactly) {
   ResultCache cache(fresh_cache_dir("deltanc_batch_profile_cache"));
   const e2e::Scenario sc = small_scenario(60);
   const std::vector<double> grid = {1e-3, 1e-8};
-  // A scalar request of the *same* scenario shares the batch: the two
-  // keyspaces must not collide.
+  // A scalar request of the *same* scenario shares the batch: its level
+  // is not on the grid, so it keys and stores its own entry.
   const std::string requests = profile_request_line(sc, 0, grid) + "\n" +
                                request_line(sc, 1) + "\n";
   BatchOptions options;
@@ -510,7 +599,7 @@ TEST(Batch, ProfileCorruptEntryRecoversWithWarningAndOverwrite) {
   std::ostringstream cold_out;
   (void)run_batch(cold_in, cold_out, options);
 
-  const std::string key = profile_cache_key(sc, grid, SolveOptions{});
+  const std::string key = cache_key(sc, grid, SolveOptions{});
   std::ofstream(cache.entry_path(key), std::ios::trunc) << "not json";
 
   std::stringstream in(requests);

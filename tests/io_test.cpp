@@ -427,10 +427,15 @@ TEST(Codec, SchemaIsRequiredAndChecked) {
 
 // ----- cache key ---------------------------------------------------------
 
+/// The key of a scalar request: its one-level profile.
+std::string scalar_key(const e2e::Scenario& sc, const SolveOptions& options) {
+  return cache_key(sc, std::vector<double>{sc.epsilon}, options);
+}
+
 TEST(Codec, CacheKeyIsStableAndFoldsSchedulerOverride) {
   const e2e::Scenario fifo = fig2_scenario(268, sched::SchedulerKind::kFifo);
   SolveOptions options;
-  EXPECT_EQ(solve_cache_key(fifo, options), solve_cache_key(fifo, options));
+  EXPECT_EQ(scalar_key(fifo, options), scalar_key(fifo, options));
 
   // Override folded in: "FIFO scenario forced to EDF" keys like the EDF
   // scenario -- they solve identically.
@@ -438,13 +443,44 @@ TEST(Codec, CacheKeyIsStableAndFoldsSchedulerOverride) {
   edf.scheduler = sched::SchedulerKind::kEdf;
   SolveOptions forced;
   forced.scheduler = sched::SchedulerKind::kEdf;
-  EXPECT_EQ(solve_cache_key(fifo, forced), solve_cache_key(edf, options));
-  EXPECT_NE(solve_cache_key(fifo, options), solve_cache_key(edf, options));
+  EXPECT_EQ(scalar_key(fifo, forced), scalar_key(edf, options));
+  EXPECT_NE(scalar_key(fifo, options), scalar_key(edf, options));
 
   // Method changes results, so it must fragment the cache.
   SolveOptions paper;
   paper.method = e2e::Method::kPaperK;
-  EXPECT_NE(solve_cache_key(fifo, paper), solve_cache_key(fifo, options));
+  EXPECT_NE(scalar_key(fifo, paper), scalar_key(fifo, options));
+}
+
+TEST(Codec, OneLevelKeysIgnoreWarmStart) {
+  // warm_start only changes how levels after the first reuse the chain,
+  // so every one-level request is the same cold solve and one key: a
+  // scalar request equals the one-level profile of its epsilon, warm or
+  // cold, with no "kind" left to tell them apart.
+  const e2e::Scenario sc = fig2_scenario(268, sched::SchedulerKind::kEdf);
+  SolveOptions cold;
+  SolveOptions warm;
+  warm.warm_start = e2e::WarmStart::kWarm;
+  const std::vector<double> level = {sc.epsilon};
+  const std::string key = scalar_key(sc, cold);
+  EXPECT_EQ(scalar_key(sc, warm), key);
+  EXPECT_EQ(cache_key(sc, level, warm), key);
+  EXPECT_EQ(cache_key(sc, level, cold), key);
+  EXPECT_EQ(key.rfind("{\"scenario\":", 0), 0u);  // no discriminator
+  EXPECT_NE(key.find("\"warm_start\":\"cold\""), std::string::npos);
+
+  // canonicalize_request is what makes the solve cold too.
+  e2e::Scenario canon_sc = sc;
+  SolveOptions canon = warm;
+  canonicalize_request(canon_sc, canon, 1);
+  EXPECT_EQ(canon.warm_start, e2e::WarmStart::kCold);
+
+  // From two levels on, the policy is part of the request's identity.
+  const std::vector<double> grid = {1e-3, 1e-6};
+  EXPECT_NE(cache_key(sc, grid, warm), cache_key(sc, grid, cold));
+  canon = warm;
+  canonicalize_request(canon_sc, canon, grid.size());
+  EXPECT_EQ(canon.warm_start, e2e::WarmStart::kWarm);
 }
 
 // ----- delay profiles ----------------------------------------------------
@@ -501,22 +537,22 @@ TEST(Codec, DelayProfileDecodeRejectsMalformedDocuments) {
   EXPECT_THROW((void)decode_delay_profile(Value::number(1.0)), CodecError);
 }
 
-TEST(Codec, ProfileCacheKeyIsKindTaggedAndEpsilonPinned) {
+TEST(Codec, CacheKeyPinsScenarioEpsilonToTheFirstLevel) {
   const e2e::Scenario sc = fig2_scenario(268, sched::SchedulerKind::kFifo);
   const std::vector<double> grid = {1e-3, 1e-6, 1e-9};
   SolveOptions options;
-  const std::string key = profile_cache_key(sc, grid, options);
-  // Kind-tagged: shares no keyspace with scalar solves of any epsilon.
-  EXPECT_NE(key.find("\"kind\":\"profile\""), std::string::npos);
-  EXPECT_NE(key, solve_cache_key(sc, options));
-  // Pinned: the scenario's own scalar epsilon is not a profile input,
-  // so it must not fragment the profile keyspace.
+  const std::string key = cache_key(sc, grid, options);
+  // The levels are part of the key: a grid never shares an entry with a
+  // scalar request.
+  EXPECT_NE(key, scalar_key(sc, options));
+  // Pinned: the scenario's own epsilon is not an input of a profile, so
+  // it must not fragment the keyspace.
   e2e::Scenario other_eps = sc;
   other_eps.epsilon = 1e-12;
-  EXPECT_EQ(profile_cache_key(other_eps, grid, options), key);
+  EXPECT_EQ(cache_key(other_eps, grid, options), key);
   // The grid itself is the identity.
   const std::vector<double> deeper = {1e-3, 1e-6, 1e-12};
-  EXPECT_NE(profile_cache_key(sc, deeper, options), key);
+  EXPECT_NE(cache_key(sc, deeper, options), key);
 }
 
 TEST(Codec, SolveOptionsRoundTrip) {

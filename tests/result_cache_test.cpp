@@ -1,7 +1,9 @@
 // The persistent result cache: content addressing, the per-schema epoch
 // layout, hit/miss/stale/corrupt classification, atomic stores, and
-// recovery by overwrite.  Whatever the outcome, the answer handed back
-// encodes byte-identically to a fresh cold solve.
+// recovery by overwrite.  Every entry is a delay profile; a scalar
+// answer is a one-level profile read and written through the
+// single-level lookup/store views.  Whatever the outcome, the answer
+// handed back encodes byte-identically to a fresh cold solve.
 #include "e2e/solver.h"
 #include "io/result_cache.h"
 
@@ -43,6 +45,20 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
   out << text;
 }
 
+/// The cache key of a scalar request: the one-level profile of the
+/// scenario's own epsilon.
+std::string scalar_key(const e2e::Scenario& sc,
+                       const SolveOptions& options = {}) {
+  return cache_key(sc, std::vector<double>{sc.epsilon}, options);
+}
+
+/// A bare one-level profile whose only level has delay `delay_ms`.
+e2e::DelayProfile one_level(double delay_ms) {
+  e2e::BoundResult r;
+  r.delay_ms = delay_ms;
+  return e2e::DelayProfile{{1e-6}, {r}, {}};
+}
+
 /// The encoded answer of a fresh cold solve: what every cache outcome
 /// must hand back byte for byte.
 std::string cold_bytes(const e2e::Scenario& sc) {
@@ -67,6 +83,23 @@ class ResultCacheTest : public ::testing::Test {
   void SetUp() override { std::filesystem::remove_all(cache_dir()); }
   void TearDown() override { std::filesystem::remove_all(cache_dir()); }
 
+  /// The batch's cycle over the single-level views: lookup, and on
+  /// anything but a hit solve cold and store.  `outcome` says which way
+  /// the answer came.
+  static e2e::BoundResult lookup_or_solve(ResultCache& cache,
+                                          const e2e::Scenario& sc,
+                                          CacheLookup& outcome,
+                                          int* solves = nullptr) {
+    const std::string key = scalar_key(sc);
+    e2e::BoundResult result;
+    outcome = cache.lookup(key, result);
+    if (outcome == CacheLookup::kHit) return result;
+    if (solves != nullptr) ++*solves;
+    result = deltanc::Solver().solve(sc);
+    cache.store(key, result);
+    return result;
+  }
+
   /// An entry as a schema-`schema` build wrote it, found where it can
   /// sit today: at the flat pre-epoch path of the current key (never
   /// opened -- a miss, counted foreign) and copied into the current
@@ -75,7 +108,7 @@ class ResultCacheTest : public ::testing::Test {
   /// overwrites the slot with the bytes of a cold solve.
   void expect_old_schema_entry_never_served(int schema) {
     const e2e::Scenario sc = small_scenario();
-    const std::string key = solve_cache_key(sc, SolveOptions{});
+    const std::string key = scalar_key(sc);
     const std::string entry = "{\"schema\":" + std::to_string(schema) +
                               ",\"version\":\"1.0.0\",\"key\":\"x\","
                               "\"result\":{}}\n";
@@ -97,9 +130,7 @@ class ResultCacheTest : public ::testing::Test {
     EXPECT_EQ(cache.stats().stale, 1);
 
     CacheLookup outcome{};
-    const e2e::BoundResult solved = cache.solve_through(
-        sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
-        &outcome);
+    const e2e::BoundResult solved = lookup_or_solve(cache, sc, outcome);
     EXPECT_EQ(outcome, CacheLookup::kStale);
     EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
     EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
@@ -118,7 +149,7 @@ TEST_F(ResultCacheTest, Fnv1a64MatchesKnownVectors) {
 TEST_F(ResultCacheTest, MissThenStoreThenBitExactHit) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
 
   e2e::BoundResult out;
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kMiss);
@@ -148,7 +179,7 @@ TEST_F(ResultCacheTest, MissThenStoreThenBitExactHit) {
 TEST_F(ResultCacheTest, VersionDriftClassifiesAsStaleAndIsOverwritten) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   cache.store(key, deltanc::Solver().solve(sc));
 
   // Doctor the stored entry to look like an older library release.
@@ -164,13 +195,11 @@ TEST_F(ResultCacheTest, VersionDriftClassifiesAsStaleAndIsOverwritten) {
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
   EXPECT_EQ(cache.stats().stale, 1);
 
-  // solve_through re-solves, reports the stale outcome, and overwrites
-  // the entry so the next lookup hits again.  The answer carries no
+  // The re-solve reports the stale outcome and overwrites the entry so
+  // the next lookup hits again.  The answer carries no
   // trace of the episode.
   CacheLookup outcome{};
-  const e2e::BoundResult solved = cache.solve_through(
-      sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
-      &outcome);
+  const e2e::BoundResult solved = lookup_or_solve(cache, sc, outcome);
   EXPECT_EQ(outcome, CacheLookup::kStale);
   EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
@@ -194,7 +223,7 @@ TEST_F(ResultCacheTest, PreviousReleaseEdfEntryIsStaleNeverServed) {
   ASSERT_STRNE(DELTANC_VERSION_STRING, "1.1.0");
 
   ResultCache cache(cache_dir());
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   cache.store(key, fresh);
   const std::filesystem::path path = cache.entry_path(key);
   std::string text = read_file(path);
@@ -212,9 +241,7 @@ TEST_F(ResultCacheTest, PreviousReleaseEdfEntryIsStaleNeverServed) {
   e2e::BoundResult out;
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
   CacheLookup outcome{};
-  const e2e::BoundResult solved = cache.solve_through(
-      sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
-      &outcome);
+  const e2e::BoundResult solved = lookup_or_solve(cache, sc, outcome);
   EXPECT_EQ(outcome, CacheLookup::kStale);
   EXPECT_EQ(solved.delay_ms, fresh.delay_ms);
   EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
@@ -225,7 +252,7 @@ TEST_F(ResultCacheTest, PreviousReleaseEdfEntryIsStaleNeverServed) {
 TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   cache.store(key, deltanc::Solver().solve(sc));
 
   // The schema version lives in the entry (and names the epoch
@@ -250,7 +277,7 @@ TEST_F(ResultCacheTest, OldLayoutsAreNeverOpenedAndCountedForeign) {
   // the schema-5 epoch directory.  Neither is ever opened, so neither
   // can be served; both stay visible through foreign_entries().
   const e2e::Scenario sc = small_scenario();
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   std::filesystem::path current;
   {
     ResultCache writer(cache_dir());
@@ -277,9 +304,7 @@ TEST_F(ResultCacheTest, OldLayoutsAreNeverOpenedAndCountedForeign) {
   // The re-solve lands in the current epoch; the planted copies stay
   // foreign (never overwritten, never read).
   CacheLookup outcome{};
-  const e2e::BoundResult solved = cache.solve_through(
-      sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
-      &outcome);
+  const e2e::BoundResult solved = lookup_or_solve(cache, sc, outcome);
   EXPECT_EQ(outcome, CacheLookup::kMiss);
   EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
@@ -308,6 +333,34 @@ TEST_F(ResultCacheTest, SchemaFourEntryClassifiesStaleNeverWrongHit) {
   expect_old_schema_entry_never_served(4);
 }
 
+// Schema 6 held scalar answers under "result" and keyed them with the
+// "kind" discriminator; its entries sit in v6/ and are never opened.
+TEST_F(ResultCacheTest, SchemaSixEntryClassifiesStaleNeverWrongHit) {
+  expect_old_schema_entry_never_served(6);
+}
+
+TEST_F(ResultCacheTest, ScalarStoreViewWritesTheOneLevelProfileEntry) {
+  // The single-level store view and the one path (the solved one-level
+  // profile under the same key) write the same bytes, so a scalar
+  // request and a one-level profile request share one entry.
+  for (const sched::SchedulerKind kind :
+       {sched::SchedulerKind::kFifo, sched::SchedulerKind::kEdf}) {
+    e2e::Scenario sc = small_scenario();
+    sc.scheduler = kind;
+    const std::string key = scalar_key(sc);
+    ResultCache cache(cache_dir());
+    cache.store(key, deltanc::Solver().solve(sc));
+    const std::string via_view = read_file(cache.entry_path(key));
+    cache.store_profile(key, deltanc::Solver().solve_profile(
+                                 sc, std::vector<double>{sc.epsilon}));
+    EXPECT_EQ(read_file(cache.entry_path(key)), via_view)
+        << sched::to_string(kind);
+    e2e::BoundResult out;
+    ASSERT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+    EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
+  }
+}
+
 TEST_F(ResultCacheTest, CurveBackedSchedulersHaveNoLegacySlots) {
   // A curve-backed solve (NaN delta on the wire) round-trips through
   // store + hit like any other result; the epoch layout gives it, like
@@ -315,7 +368,7 @@ TEST_F(ResultCacheTest, CurveBackedSchedulersHaveNoLegacySlots) {
   e2e::Scenario sc = small_scenario();
   sc.scheduler = sched::SchedulerSpec::gps(2.0, 1.0);
   ResultCache cache(cache_dir());
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   const e2e::BoundResult solved = deltanc::Solver().solve(sc);
   ASSERT_TRUE(std::isnan(solved.delta));
   cache.store(key, solved);
@@ -332,7 +385,7 @@ TEST_F(ResultCacheTest, ProfileMissStoreThenBitExactHit) {
   const e2e::Scenario sc = small_scenario();
   const std::vector<double> grid = {1e-3, 1e-6, 1e-9};
   const SolveOptions options{};
-  const std::string key = profile_cache_key(sc, grid, options);
+  const std::string key = cache_key(sc, grid, options);
 
   e2e::DelayProfile out;
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kMiss);
@@ -349,12 +402,6 @@ TEST_F(ResultCacheTest, ProfileMissStoreThenBitExactHit) {
     EXPECT_EQ(out.levels[i].sigma, solved.levels[i].sigma);
   }
 
-  // Disjoint keyspaces: the profile entry is invisible to the scalar
-  // lookup of the same scenario, and vice versa.
-  e2e::BoundResult scalar;
-  EXPECT_EQ(cache.lookup(solve_cache_key(sc, options), scalar),
-            CacheLookup::kMiss);
-
   ResultCache reopened(cache_dir());
   EXPECT_EQ(reopened.lookup_profile(key, out), CacheLookup::kHit);
   EXPECT_EQ(encode_delay_profile(out).dump(), cold_profile_bytes(sc, grid));
@@ -365,7 +412,7 @@ TEST_F(ResultCacheTest, ProfileEntriesClassifyStaleAndCorrupt) {
   const e2e::Scenario sc = small_scenario();
   const std::vector<double> grid = {1e-4, 1e-8};
   const SolveOptions options{};
-  const std::string key = profile_cache_key(sc, grid, options);
+  const std::string key = cache_key(sc, grid, options);
   cache.store_profile(key, deltanc::Solver().solve_profile(sc, grid));
 
   // Version drift -> stale, no bits served.
@@ -378,57 +425,29 @@ TEST_F(ResultCacheTest, ProfileEntriesClassifyStaleAndCorrupt) {
   e2e::DelayProfile out;
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kStale);
 
-  // Unreadable bytes -> corrupt; solve_profile_through recovers by
-  // overwrite, and the answer carries no trace of the episode.
+  // Unreadable bytes -> corrupt; the re-solve recovers by overwrite, and
+  // the answer carries no trace of the episode.
   write_file(cache.entry_path(key), "{\"schema\": truncated garba");
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kCorrupt);
-  CacheLookup outcome{};
-  const e2e::DelayProfile solved = cache.solve_profile_through(
-      sc, grid, options,
-      [&] { return deltanc::Solver().solve_profile(sc, grid); }, &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kCorrupt);
-  EXPECT_EQ(encode_delay_profile(solved).dump(), cold_profile_bytes(sc, grid));
+  cache.store_profile(key, deltanc::Solver().solve_profile(sc, grid));
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kHit);
   EXPECT_EQ(encode_delay_profile(out).dump(), cold_profile_bytes(sc, grid));
-}
-
-TEST_F(ResultCacheTest, SolveProfileThroughCountsExactlyOneOutcome) {
-  ResultCache cache(cache_dir());
-  const e2e::Scenario sc = small_scenario();
-  const std::vector<double> grid = {1e-3, 1e-6};
-  const SolveOptions options{};
-  const auto solve = [&] { return deltanc::Solver().solve_profile(sc, grid); };
-
-  CacheLookup outcome{};
-  const e2e::DelayProfile first =
-      cache.solve_profile_through(sc, grid, options, solve, &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kMiss);
-  EXPECT_EQ(cache.stats().lookups(), 1);
-
-  const e2e::DelayProfile second =
-      cache.solve_profile_through(sc, grid, options, solve, &outcome);
-  EXPECT_EQ(outcome, CacheLookup::kHit);
-  EXPECT_EQ(cache.stats().lookups(), 2);
-  EXPECT_EQ(cache.stats().hits, 1);
-  // The outcome lives beside the answer, never inside it.
-  EXPECT_EQ(encode_delay_profile(first).dump(), cold_profile_bytes(sc, grid));
-  EXPECT_EQ(encode_delay_profile(second).dump(), cold_profile_bytes(sc, grid));
 }
 
 TEST_F(ResultCacheTest, TryStoreProfileSurvivesInjectedFailures) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
   const std::vector<double> grid = {1e-3, 1e-9};
-  const std::string key = profile_cache_key(sc, grid, SolveOptions{});
+  const std::string key = cache_key(sc, grid, SolveOptions{});
   const e2e::DelayProfile solved = deltanc::Solver().solve_profile(sc, grid);
 
   cache.fail_next_stores(1);
-  EXPECT_FALSE(cache.try_store_profile(key, solved));
+  EXPECT_FALSE(cache.try_store(key, solved));
   EXPECT_EQ(cache.stats().store_failures, 1);
   e2e::DelayProfile out;
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kMiss);
 
-  EXPECT_TRUE(cache.try_store_profile(key, solved));
+  EXPECT_TRUE(cache.try_store(key, solved));
   EXPECT_EQ(cache.lookup_profile(key, out), CacheLookup::kHit);
   EXPECT_EQ(encode_delay_profile(out).dump(), cold_profile_bytes(sc, grid));
 }
@@ -439,19 +458,19 @@ TEST_F(ResultCacheTest, SimulationLoweringsDoNotPerturbSolverKeys) {
   // lowerings did not bump the schema.  Wire-format changes do: the
   // warm-start policy in SolveOptions took the schema from 3 to 4, the
   // "kind"-discriminated keys and delay-profile documents from 4 to 5,
-  // and provenance-free stats with the epoch layout from 5 to 6 (see
-  // io/codec.h).
-  static_assert(kSchemaVersion == 6,
+  // provenance-free stats with the epoch layout from 5 to 6, and the one
+  // answer type from 6 to 7 (see io/codec.h).
+  static_assert(kSchemaVersion == 7,
                 "sim-side config fields must not bump the cache schema; "
-                "the schema-6 bump came from provenance-free stats and "
-                "the per-schema epoch directories");
+                "the schema-7 bump came from the one answer type (keys "
+                "name their levels, every entry holds a profile)");
   ResultCache cache(cache_dir());
   for (const sched::SchedulerSpec& spec :
        {sched::SchedulerSpec::drr(2.0, 1.0), sched::SchedulerSpec::sced(),
         sched::SchedulerSpec::gps(2.0, 1.0)}) {
     e2e::Scenario sc = small_scenario();
     sc.scheduler = spec;
-    const std::string key = solve_cache_key(sc, SolveOptions{});
+    const std::string key = scalar_key(sc);
     cache.store(key, deltanc::Solver().solve(sc));
     e2e::BoundResult out;
     EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit)
@@ -460,7 +479,7 @@ TEST_F(ResultCacheTest, SimulationLoweringsDoNotPerturbSolverKeys) {
     // value (content addressing, not object identity).
     e2e::Scenario again = small_scenario();
     again.scheduler = spec;
-    EXPECT_EQ(solve_cache_key(again, SolveOptions{}), key)
+    EXPECT_EQ(scalar_key(again), key)
         << sched::to_string(spec);
   }
   EXPECT_EQ(cache.stats().hits, 3);
@@ -470,7 +489,7 @@ TEST_F(ResultCacheTest, SimulationLoweringsDoNotPerturbSolverKeys) {
 TEST_F(ResultCacheTest, CorruptEntryIsDetectedAndRecoverable) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   cache.store(key, deltanc::Solver().solve(sc));
 
   write_file(cache.entry_path(key), "{\"schema\":2, truncated garba");
@@ -485,11 +504,9 @@ TEST_F(ResultCacheTest, CorruptEntryIsDetectedAndRecoverable) {
                  ",\"version\":3}");
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kCorrupt);
 
-  // Recovery: solve_through overwrites the damaged entry.
+  // Recovery: the re-solve overwrites the damaged entry.
   CacheLookup outcome{};
-  const e2e::BoundResult solved = cache.solve_through(
-      sc, SolveOptions{}, [&] { return deltanc::Solver().solve(sc); },
-      &outcome);
+  const e2e::BoundResult solved = lookup_or_solve(cache, sc, outcome);
   EXPECT_EQ(outcome, CacheLookup::kCorrupt);
   EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
   EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
@@ -499,7 +516,7 @@ TEST_F(ResultCacheTest, CorruptEntryIsDetectedAndRecoverable) {
 TEST_F(ResultCacheTest, HashCollisionDegradesToMissNotWrongAnswer) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   cache.store(key, deltanc::Solver().solve(sc));
 
   // Simulate a colliding key by doctoring the stored key string (it is
@@ -520,16 +537,10 @@ TEST_F(ResultCacheTest, SolveThroughCountsOneOutcomePerResult) {
   ResultCache cache(cache_dir());
   const e2e::Scenario sc = small_scenario();
   int solves = 0;
-  const auto solve = [&] {
-    ++solves;
-    return deltanc::Solver().solve(sc);
-  };
   CacheLookup outcome{};
-  const e2e::BoundResult first =
-      cache.solve_through(sc, SolveOptions{}, solve, &outcome);
+  const e2e::BoundResult first = lookup_or_solve(cache, sc, outcome, &solves);
   EXPECT_EQ(outcome, CacheLookup::kMiss);
-  const e2e::BoundResult second =
-      cache.solve_through(sc, SolveOptions{}, solve, &outcome);
+  const e2e::BoundResult second = lookup_or_solve(cache, sc, outcome, &solves);
   EXPECT_EQ(outcome, CacheLookup::kHit);
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 1);
@@ -579,7 +590,7 @@ TEST_F(ResultCacheTest, ShardOfPartitionsTheKeyspaceContiguously) {
 TEST_F(ResultCacheTest, ShardedHandlesShareOneDirectoryWithUnshardedReaders) {
   const auto dir = cache_dir();
   const e2e::Scenario sc = small_scenario(64);
-  const std::string key = solve_cache_key(sc, SolveOptions{});
+  const std::string key = scalar_key(sc);
   const int owner = ResultCache::shard_of(key, 4);
 
   ResultCache shard(dir, CacheShard{owner, 4});
@@ -605,17 +616,17 @@ TEST_F(ResultCacheTest, ShardedHandlesShareOneDirectoryWithUnshardedReaders) {
 TEST_F(ResultCacheTest, TryStoreCountsFailuresAndKeepsServing) {
   ResultCache cache(cache_dir());
   cache.fail_next_stores(2);
-  e2e::BoundResult result;
-  result.delay_ms = 10.0;
-  EXPECT_FALSE(cache.try_store("key-a", result));
-  EXPECT_FALSE(cache.try_store("key-b", result));
-  EXPECT_TRUE(cache.try_store("key-c", result));  // budget drained
+  const e2e::DelayProfile answer = one_level(10.0);
+  EXPECT_FALSE(cache.try_store("key-a", answer));
+  EXPECT_FALSE(cache.try_store("key-b", answer));
+  EXPECT_TRUE(cache.try_store("key-c", answer));  // budget drained
   EXPECT_EQ(cache.stats().store_failures, 2);
   EXPECT_EQ(cache.stats().stores, 1);
   // The failed keys never landed; the successful one did.
   e2e::BoundResult found;
   EXPECT_EQ(cache.lookup("key-a", found), CacheLookup::kMiss);
   EXPECT_EQ(cache.lookup("key-c", found), CacheLookup::kHit);
+  EXPECT_EQ(found.delay_ms, 10.0);
 }
 
 TEST_F(ResultCacheTest, ConcurrentHammerNeverServesWrongBytes) {
@@ -638,9 +649,7 @@ TEST_F(ResultCacheTest, ConcurrentHammerNeverServesWrongBytes) {
 
   ResultCache seed(dir);
   for (int k = 0; k < kKeys; ++k) {
-    e2e::BoundResult r;
-    r.delay_ms = expected_delay(k);
-    seed.store(keys[k], r);
+    seed.store_profile(keys[k], one_level(expected_delay(k)));
   }
   // One entry starts corrupt; workers re-store over it as they go.
   write_file(seed.entry_path(keys[3]), "NOT JSON {{{");
@@ -662,9 +671,7 @@ TEST_F(ResultCacheTest, ConcurrentHammerNeverServesWrongBytes) {
         }
         if (outcome == CacheLookup::kHit) ++hits;
         if (outcome != CacheLookup::kHit || round % 7 == t % 7) {
-          e2e::BoundResult fresh;
-          fresh.delay_ms = expected_delay(k);
-          (void)cache.try_store(keys[k], fresh);
+          (void)cache.try_store(keys[k], one_level(expected_delay(k)));
         }
       }
     });

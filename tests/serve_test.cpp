@@ -582,6 +582,53 @@ TEST(SolveServiceTest, ProfileAnswersMatchBatchBytesModuloTimings) {
   }
 }
 
+TEST(SolveServiceTest, MemoryLayerHoldsOneBudgetForBothShapes) {
+  // Scalar and profile answers share one memory map under one
+  // memory_entries budget, and a scalar request and the one-level
+  // profile of its epsilon are one key there as on disk.
+  ServeOptions options;
+  options.workers = 1;
+  options.memory_entries = 1;
+  options.cache_dir = fresh_cache_dir("serve_one_budget");
+  SolveService service(options);
+  Collector collector;
+  const e2e::Scenario sc = small_scenario(50);
+  const auto profile_line = [&](int id, std::vector<double> grid) {
+    Value eps = Value::array();
+    for (double e : grid) eps.push_back(io::encode_double(e));
+    Value req = Value::object();
+    req.set("schema", Value::number(io::kSchemaVersion))
+        .set("id", Value::number(id))
+        .set("scenario", io::encode_scenario(sc))
+        .set("epsilons", std::move(eps));
+    return req.dump();
+  };
+
+  service.submit(request_line(sc, 0), collector.sink());  // solve A
+  collector.wait_for(1);
+  service.submit(profile_line(1, {1e-3, 1e-9}), collector.sink());  // evicts A
+  collector.wait_for(2);
+  service.submit(request_line(sc, 2), collector.sink());  // A from disk
+  collector.wait_for(3);
+  service.submit(profile_line(3, {sc.epsilon}), collector.sink());  // A, memory
+  const std::vector<Value> responses = collector.wait_for(4);
+  ASSERT_EQ(responses.size(), 4u);
+  EXPECT_EQ(responses[2].at("cache").as_string(), "hit");
+  EXPECT_EQ(responses[2].at("result").dump(), cold_bytes(sc));
+  const e2e::DelayProfile one =
+      io::decode_delay_profile(responses[3].at("profile"));
+  ASSERT_EQ(one.levels.size(), 1u);
+  EXPECT_EQ(io::encode_bound_result(one.levels[0]).dump(), cold_bytes(sc));
+
+  service.drain();
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.solved, 2);
+  EXPECT_EQ(stats.served, 2);
+  EXPECT_EQ(stats.memory_hits, 1);  // only the one-level profile of A
+  EXPECT_EQ(stats.cache.hits, 1);   // A after its eviction
+  EXPECT_EQ(stats.cache.stores, 2);
+}
+
 // ----- socket framing ------------------------------------------------------
 
 // The listener's stop flag is a signal flag: set it from a handler that

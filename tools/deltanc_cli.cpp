@@ -217,6 +217,7 @@ std::vector<std::string> split(const std::string& s, char sep) {
 struct SweepAxisSpec {
   std::string axis;
   std::vector<double> numeric;
+  std::vector<int> hops;  ///< the hops axis, read as strict integers
   std::vector<sched::SchedulerKind> scheduler_kinds;
   std::vector<sched::SchedulerSpec> schedulers;
 };
@@ -256,44 +257,64 @@ SweepAxisSpec parse_sweep_spec(const std::string& spec) {
     if (parts.size() != 3) {
       usage_error("bad --sweep range '" + values + "' (want lo:hi:steps)");
     }
-    const double lo = parse_double(parts[0].c_str(), "--sweep");
-    const double hi = parse_double(parts[1].c_str(), "--sweep");
-    const double steps = parse_double(parts[2].c_str(), "--sweep");
-    if (steps < 1 || steps != std::floor(steps)) {
-      usage_error("--sweep steps must be a positive integer");
+    const bool hops = out.axis == "hops";
+    const double lo = hops ? parse_integer<int>(parts[0].c_str(), "--sweep hops")
+                           : parse_double(parts[0].c_str(), "--sweep");
+    const double hi = hops ? parse_integer<int>(parts[1].c_str(), "--sweep hops")
+                           : parse_double(parts[1].c_str(), "--sweep");
+    const int steps = parse_integer<int>(parts[2].c_str(), "--sweep steps");
+    if (steps < 1) usage_error("--sweep steps must be a positive integer");
+    out.numeric = SweepGrid::linspace(lo, hi, steps);
+    if (hops) {
+      // Integer endpoints space exactly when (hi - lo) / (steps - 1) is
+      // whole; any other range would round hop counts behind the user's
+      // back.
+      for (const double v : out.numeric) {
+        if (v != std::floor(v)) {
+          usage_error("--sweep hops range '" + values +
+                      "' does not land on whole hop counts");
+        }
+        out.hops.push_back(static_cast<int>(v));
+      }
     }
-    out.numeric = SweepGrid::linspace(lo, hi, static_cast<int>(steps));
   } else {
     for (const std::string& v : split(values, ',')) {
-      out.numeric.push_back(parse_double(v.c_str(), "--sweep"));
+      if (out.axis == "hops") {
+        // The --hops rules: "hops=2.9" is a typo, not H = 3.
+        out.hops.push_back(parse_integer<int>(v.c_str(), "--sweep hops"));
+      } else {
+        out.numeric.push_back(parse_double(v.c_str(), "--sweep"));
+      }
     }
   }
   return out;
 }
 
+/// Applies one --sweep axis; a value the grid rejects (hops=0, uc=-1,
+/// delta=nan, ...) is a usage error, not an uncaught exception.
 void apply_axis(SweepGrid& grid, const SweepAxisSpec& spec) {
-  if (spec.axis == "scheduler") {
-    if (!spec.scheduler_kinds.empty()) {
-      grid.scheduler_axis(spec.scheduler_kinds);
-    } else {
-      grid.scheduler_axis(spec.schedulers);
+  try {
+    if (spec.axis == "scheduler") {
+      if (!spec.scheduler_kinds.empty()) {
+        grid.scheduler_axis(spec.scheduler_kinds);
+      } else {
+        grid.scheduler_axis(spec.schedulers);
+      }
+    } else if (spec.axis == "delta") {
+      grid.delta_axis(spec.numeric);
+    } else if (spec.axis == "hops") {
+      grid.hops_axis(spec.hops);
+    } else if (spec.axis == "u0") {
+      grid.through_utilization_axis(spec.numeric);
+    } else if (spec.axis == "uc") {
+      grid.cross_utilization_axis(spec.numeric);
+    } else if (spec.axis == "epsilon") {
+      grid.epsilon_axis(spec.numeric);
+    } else {  // capacity (parse_sweep_spec rejected everything else)
+      grid.capacity_axis(spec.numeric);
     }
-  } else if (spec.axis == "delta") {
-    grid.delta_axis(spec.numeric);
-  } else if (spec.axis == "hops") {
-    std::vector<int> hops;
-    for (double v : spec.numeric) {
-      hops.push_back(static_cast<int>(std::lround(v)));
-    }
-    grid.hops_axis(hops);
-  } else if (spec.axis == "u0") {
-    grid.through_utilization_axis(spec.numeric);
-  } else if (spec.axis == "uc") {
-    grid.cross_utilization_axis(spec.numeric);
-  } else if (spec.axis == "epsilon") {
-    grid.epsilon_axis(spec.numeric);
-  } else {  // capacity (parse_sweep_spec rejected everything else)
-    grid.capacity_axis(spec.numeric);
+  } catch (const std::invalid_argument& e) {
+    usage_error("bad --sweep " + spec.axis + " values: " + e.what());
   }
 }
 
