@@ -9,9 +9,9 @@
 
 #define DELTANC_VERSION_MAJOR 1
 #define DELTANC_VERSION_MINOR 1
-#define DELTANC_VERSION_PATCH 1
+#define DELTANC_VERSION_PATCH 2
 
-#define DELTANC_VERSION_STRING "1.1.1"
+#define DELTANC_VERSION_STRING "1.1.2"
 
 namespace deltanc {
 

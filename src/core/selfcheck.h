@@ -46,7 +46,7 @@ namespace deltanc {
 /// amount per point, and must agree exactly on finiteness.  Warm starts
 /// reuse bit-exact ingredients (the eb(s) memo and the stable-s bracket)
 /// but seed the s probe and the EDF fixed point from the neighboring
-/// optimum, so the golden refinement and the damped iteration can stop
+/// optimum, so the Brent refinement and the damped iteration can stop
 /// at a slightly different -- equally valid -- optimum; the EDF fixed
 /// point's own 1e-7 relative stopping tolerance dominates the deviation,
 /// and 1e-4 gives it two orders of headroom.  Enforced by

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "e2e/brent_refine.h"
 #include "e2e/delay_bound.h"
 #include "e2e/k_procedure.h"
 #include "e2e/network_epsilon.h"
@@ -79,6 +80,22 @@ double stable_s_limit(double n, double capacity, double mean_rate,
   return lo;
 }
 
+/// Largest Chernoff parameter the s search considers.  Once the peak
+/// rate fits (n * peak < C) every s is stable and the bound keeps falling
+/// as s grows, so the search needs a finite end; just below that
+/// threshold the stability limit is finite but grows without bound
+/// (~n |ln p22| / (n * peak - C) for MMOO), so the same cap must apply
+/// there, or a link a hair too slow for the peak would search further
+/// and report a smaller bound than a faster one.  At 1e8 the cap binds
+/// on the finite side only within ~1e-7 Mbps of the threshold (paper
+/// source, 100 flows), and eb(s) is evaluated in log space, so the
+/// scans stay finite there.
+constexpr double kMaxS = 1e8;
+
+/// Upper end of the s search: just inside the stability limit, and
+/// never past kMaxS, on both sides of the peak-fit threshold.
+double s_upper(double limit) { return std::min(limit, kMaxS) * 0.999; }
+
 /// Per-scenario state of the nested search, built once per solve instead
 /// of once per (s, gamma) evaluation: the effective-bandwidth memo, the
 /// reusable theta-solver workspace, the stability-limited s bracket, and
@@ -108,7 +125,7 @@ struct SearchContext {
         stable_s_limit(n, sc.capacity, sc.source.mean_rate(),
                        sc.source.peak_rate(), [this](double s) { return eb(s); });
     unstable = (limit == 0.0);
-    s_hi = (limit == kInf ? 64.0 : limit) * 0.999;
+    s_hi = s_upper(limit);
     // Degenerate bracket: the stability window closes below the default
     // lower probe.  Widen downward so the scans still sample feasible s;
     // solve_for_delta falls back to a dense scan for these.
@@ -129,9 +146,9 @@ struct SearchContext {
   bool degenerate_bracket = false;
   // Search budget policy (detail::SearchEffort) plus the per-solve latch:
   // solve_for_delta arms `local_now` only after a kLocal warm probe lands,
-  // and best_over_gamma reads it to pick its scan/golden budgets.  With
-  // kFull the budgets are the historical constants, evaluation for
-  // evaluation; solve_edf lowers it to kLocal for far-from-root iterates.
+  // and best_over_gamma reads it to pick its scan/refinement budgets.
+  // With kFull the budgets are the full constants; solve_edf lowers it to
+  // kLocal for far-from-root iterates.
   detail::SearchEffort effort = detail::SearchEffort::kFull;
   bool local_now = false;
   // SoA scratch of the batched gamma scan (reused across evaluations).
@@ -187,58 +204,20 @@ double linear_point(double lo, double hi, int i, int points) {
   return lo + (hi - lo) * static_cast<double>(i) / points;
 }
 
-/// Golden-section refinement of f on [best_x - step, best_x + step]
-/// (clipped to [lo, hi]) around a scan winner (best_x, best_v).  Keeps
-/// the argmin over the winner and the final bracket midpoint: returns
-/// its value and leaves its argument in best_x.
-template <typename F>
-double golden_refine(F f, double lo, double hi, double step,
-                     int golden_iters, double& best_x, double best_v) {
-  double a = std::max(lo, best_x - step);
-  double b = std::min(hi, best_x + step);
-  const double inv_phi = 0.6180339887498949;
-  double x1 = b - inv_phi * (b - a);
-  double x2 = a + inv_phi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  for (int iter = 0; iter < golden_iters; ++iter) {
-    if (f1 < f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - inv_phi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + inv_phi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  const double xm = 0.5 * (a + b);
-  const double vm = f(xm);
-  if (vm < best_v) {
-    best_v = vm;
-    best_x = xm;
-  }
-  return best_v;
-}
-
-/// Golden-section minimization of a continuous function on [lo, hi],
-/// seeded by a coarse scan so that a locally non-unimodal objective still
-/// lands in the right valley.
+/// Minimization of a continuous function on [lo, hi]: a coarse scan, so
+/// that a locally non-unimodal objective still lands in the right valley,
+/// then the Brent refinement around its winner.
 template <typename F>
 double minimize_scalar(F f, double lo, double hi, int scan_points,
-                       int golden_iters, double* best_arg) {
+                       int max_evals, double* best_arg) {
   double best_x = lo;
   double best_v = kInf;
   scan_grid(
       scan_points,
       [&](int i) { return linear_point(lo, hi, i, scan_points); }, f, best_x,
       best_v);
-  best_v = golden_refine(f, lo, hi, (hi - lo) / scan_points, golden_iters,
-                         best_x, best_v);
+  best_v = detail::brent_refine(f, lo, hi, (hi - lo) / scan_points,
+                                max_evals, best_x, best_v);
   if (best_arg != nullptr) *best_arg = best_x;
   return best_v;
 }
@@ -246,7 +225,7 @@ double minimize_scalar(F f, double lo, double hi, int scan_points,
 /// Best delay over gamma for fixed s; returns +inf when unstable.  The
 /// gamma-independent invariants (PathParams from one eb(s) evaluation and
 /// the sigma(epsilon) prefactors) are computed here, once per s, instead
-/// of inside every evaluation of the inner golden-section search.
+/// of inside every evaluation of the inner Brent refinement.
 ///
 /// The 25-point coarse scan runs through the SoA SIMD kernel
 /// (e2e/scan_batch.h) for the exact optimizer on paths shorter than the
@@ -254,7 +233,7 @@ double minimize_scalar(F f, double lo, double hi, int scan_points,
 /// inner K search is data-dependent) and long paths with a convex
 /// objective (where the per-lane band search beats the kernel's
 /// enumeration) scan point by point.  Both produce bit-identical values,
-/// and the golden refinement that follows is shared.
+/// and the Brent refinement that follows is shared.
 double best_over_gamma(SearchContext& ctx, double delta, double s,
                        double eb_s, double* best_gamma) {
   const PathParams p = params_from_eb(ctx, s, eb_s, delta);
@@ -264,9 +243,9 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
   const double lo = 1e-4 * glim;
   const double hi = 0.9999 * glim;
   // Reduced budget only while a kLocal warm probe has landed (profile
-  // descent); otherwise the historical 24/48 schedule, bit-identical.
+  // descent); otherwise the full 24-step scan and 48-evaluation cap.
   const int kScanPoints = ctx.local_now ? 12 : 24;
-  const int kGoldenIters = ctx.local_now ? 24 : 48;
+  const int kMaxEvals = ctx.local_now ? 24 : 48;
   const auto f = [&](double gamma) {
     return delay_at(ctx, p, sigma_of, gamma);
   };
@@ -297,8 +276,8 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
         [&](int i) { return linear_point(lo, hi, i, kScanPoints); }, f,
         best_x, best_v);
   }
-  best_v = golden_refine(f, lo, hi, (hi - lo) / kScanPoints, kGoldenIters,
-                         best_x, best_v);
+  best_v = detail::brent_refine(f, lo, hi, (hi - lo) / kScanPoints,
+                                kMaxEvals, best_x, best_v);
   if (best_gamma != nullptr) *best_gamma = best_x;
   return best_v;
 }
@@ -306,7 +285,7 @@ double best_over_gamma(SearchContext& ctx, double delta, double s,
 /// One full (s, gamma) optimization at fixed delta.  When `warm` carries
 /// a finite previous optimum (EDF fixed point, or an external warm-start
 /// state), the 29-point coarse scan over s is replaced by a single probe
-/// at the warm-started s; the golden refinement then re-localizes the
+/// at the warm-started s; the Brent refinement then re-localizes the
 /// optimum from there.  `external_warm` marks a probe seeded from a
 /// SolveState (counted in stats.warm_start_hits when it lands).
 BoundResult solve_for_delta(SearchContext& ctx, double delta,
@@ -452,7 +431,7 @@ BoundResult solve_curve_backed(const Scenario& sc) {
     return done(result);
   }
   double s_lo = 1e-4;
-  const double s_hi = (limit == kInf ? 64.0 : limit) * 0.999;
+  const double s_hi = s_upper(limit);
   if (!(s_hi > s_lo)) s_lo = s_hi * 1e-4;
 
   const auto delay_at_s = [&](double s) {

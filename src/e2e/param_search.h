@@ -6,9 +6,10 @@
 // analytically: the Chernoff parameter s of the effective bandwidth (the
 // EBB description A ~ (1, N eb(s), s)) and the per-node rate slack gamma
 // of the network service curve.  The engine minimizes the bound over
-// both: an outer golden-section search on s (seeded by a coarse
-// logarithmic scan) and an inner golden-section search on gamma within
-// the stability window of Eq. (32).  For the exact optimizer on paths
+// both: an outer search on s (a coarse logarithmic scan, then Brent's
+// method around its winner) and an inner search on gamma within the
+// stability window of Eq. (32) (a linear scan, then Brent's method; see
+// e2e/brent_refine.h).  For the exact optimizer on paths
 // below the band-search crossover the coarse gamma scan runs through the
 // SoA SIMD kernel of e2e/scan_batch.h, bit-identical to evaluating the
 // same gammas one at a time; every other scan does exactly that.
@@ -102,7 +103,7 @@ struct SolveStats {
   // The codec never encodes them, so a stored or served result stays a
   // pure function of (scenario, options).
   double scan_ms = 0.0;             ///< wall time in the coarse s scans
-  double refine_ms = 0.0;           ///< wall time in the golden refinements
+  double refine_ms = 0.0;           ///< wall time in the Brent refinements
   // SIMD / warm-start instrumentation (PR 9): the speedup must be
   // observable, not inferred.
   std::int64_t batched_evals = 0;   ///< evals dispatched through the SIMD kernel
@@ -157,9 +158,9 @@ struct DelayProfile {
 
 namespace detail {
 
-/// Search-budget policy of one engine solve.  kFull is the historical
-/// budget (every cold or scalar-warm solve).  kLocal shrinks the gamma
-/// scan/golden budgets and the s refinement *only while a warm probe has
+/// Search-budget policy of one engine solve.  kFull is the full budget
+/// (every cold or scalar-warm solve).  kLocal shrinks the gamma scan and
+/// refinement budgets and the s refinement *only while a warm probe has
 /// landed* -- consecutive profile levels differ in epsilon alone, so the
 /// optimum moves little and the full re-localization is wasted work; a
 /// missed probe silently reverts the solve to the full budget, so
@@ -167,7 +168,7 @@ namespace detail {
 /// point also runs its far-from-root iterates at kLocal, but accepts only
 /// a solve at the request's own effort.
 enum class SearchEffort {
-  kFull,   ///< historical budgets; bit-identical to pre-profile solves
+  kFull,   ///< full budgets; bit-identical to pre-profile solves
   kLocal,  ///< reduced budgets around a landed warm probe (profile descent)
 };
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <functional>
 #include <istream>
 #include <limits>
 #include <map>
@@ -32,6 +34,33 @@ struct Request {
   CacheLookup outcome = CacheLookup::kMiss;
   e2e::DelayProfile answer;  ///< cache hit or solve
 };
+
+/// Runs fn(i) for every i in [0, n) on `pool`'s workers, each claiming
+/// the next index from a shared cursor; returns once all are done.  The
+/// first exception a call throws is rethrown here, after the pass.
+void parallel_for(ThreadPool& pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> cursor{0};
+  std::exception_ptr failure;
+  std::mutex failure_mu;
+  const std::size_t workers = std::min<std::size_t>(n, pool.thread_count());
+  for (std::size_t t = 0; t < workers; ++t) {
+    pool.submit([&] {
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) return;
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(failure_mu);
+          if (!failure) failure = std::current_exception();
+        }
+      }
+    });
+  }
+  pool.wait_idle();
+  if (failure) std::rethrow_exception(failure);
+}
 
 }  // namespace
 
@@ -188,13 +217,29 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   // std::getline delivers a final line without a trailing newline like
   // any other (it extracts up to EOF), so "emit-batch | head -c" style
   // truncated tails are answered, not dropped.
-  std::vector<Request> requests;
+  std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    Request req;
+    lines.push_back(std::move(line));
+  }
+  std::vector<Request> requests(lines.size());
+  summary.requests = static_cast<std::int64_t>(requests.size());
+
+  const unsigned wanted = options.threads > 0
+                              ? static_cast<unsigned>(options.threads)
+                              : ThreadPool::default_thread_count();
+  ThreadPool pool(static_cast<unsigned>(
+      std::clamp<std::size_t>(requests.size(), 1, wanted)));
+
+  // ----- parse + cache pass ----------------------------------------------
+  // Each request is parsed and looked up on its own worker; peek_profile
+  // is the const half of the lookup, and the counters are bumped below
+  // in input order.
+  parallel_for(pool, requests.size(), [&](std::size_t i) {
+    Request& req = requests[i];
     try {
-      req.line = parse_request_line(line, options.default_method);
+      req.line = parse_request_line(lines[i], options.default_method);
       req.parsed = true;
     } catch (const PartialRequestError& e) {
       req.line.id = e.id;
@@ -202,18 +247,15 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     } catch (const std::exception& e) {
       req.error = e.what();
     }
-    requests.push_back(std::move(req));
-  }
-  summary.requests = static_cast<std::int64_t>(requests.size());
-
-  // ----- cache pass ------------------------------------------------------
+    if (req.parsed && options.cache != nullptr) {
+      req.outcome = options.cache->peek_profile(req.line.key, req.answer);
+    }
+  });
   std::vector<std::size_t> pending;  // request indices still to solve
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    Request& req = requests[i];
+    const Request& req = requests[i];
     if (!req.parsed) continue;
-    if (options.cache != nullptr) {
-      req.outcome = options.cache->lookup_profile(req.line.key, req.answer);
-    }
+    if (options.cache != nullptr) options.cache->record(req.outcome);
     if (req.outcome == CacheLookup::kHit) {
       ++summary.cached;
     } else {
@@ -231,33 +273,19 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
   for (const auto& [options_key, members] : groups) {
     (void)options_key;
     const Solver solver(requests[members.front()].line.options);
-    const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
-        members.size(), options.threads > 0
-                            ? static_cast<unsigned>(options.threads)
-                            : ThreadPool::default_thread_count()));
-    std::atomic<std::size_t> cursor{0};
     std::mutex progress_mu;
     std::size_t group_done = 0;
-    const auto worker = [&] {
-      for (;;) {
-        const std::size_t j = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (j >= members.size()) return;
-        Request& req = requests[members[j]];
-        ProfileAnswer answer = solve_profile_request(
-            solver, req.line.scenario, req.line.epsilons);
-        req.ok = answer.ok;
-        req.answer = std::move(answer.profile);
-        if (options.progress) {
-          std::lock_guard<std::mutex> lock(progress_mu);
-          options.progress(done_offset + ++group_done, total_pending);
-        }
+    parallel_for(pool, members.size(), [&](std::size_t j) {
+      Request& req = requests[members[j]];
+      ProfileAnswer answer = solve_profile_request(
+          solver, req.line.scenario, req.line.epsilons);
+      req.ok = answer.ok;
+      req.answer = std::move(answer.profile);
+      if (options.progress) {
+        std::lock_guard<std::mutex> lock(progress_mu);
+        options.progress(done_offset + ++group_done, total_pending);
       }
-    };
-    {
-      ThreadPool pool(threads);
-      for (unsigned t = 0; t < threads; ++t) pool.submit(worker);
-      pool.wait_idle();
-    }
+    });
     for (const std::size_t i : members) {
       Request& req = requests[i];
       if (req.ok && options.cache != nullptr) {
@@ -273,17 +301,18 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     done_offset += members.size();
   }
 
-  // ----- emit (input order) ----------------------------------------------
-  for (const Request& req : requests) {
-    Value response;
-    if (!req.parsed) {
-      response = make_error_response(req.line.id, req.error);
-      ++summary.parse_errors;
-    } else {
-      response = make_answer_response(req.line, options.cache != nullptr,
-                                      req.outcome, req.answer);
-    }
-    out << response.dump() << '\n';
+  // ----- encode in parallel, emit in input order -------------------------
+  parallel_for(pool, requests.size(), [&](std::size_t i) {
+    const Request& req = requests[i];
+    lines[i] = (req.parsed ? make_answer_response(req.line,
+                                                  options.cache != nullptr,
+                                                  req.outcome, req.answer)
+                           : make_error_response(req.line.id, req.error))
+                   .dump();
+  });
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!requests[i].parsed) ++summary.parse_errors;
+    out << lines[i] << '\n';
     if (!out.good()) {
       // The consumer hung up (e.g. `--batch | head`): stop emitting,
       // report the truncation instead of dying on SIGPIPE (the CLI

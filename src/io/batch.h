@@ -28,9 +28,11 @@
 // answer was obtained: the "result" / "profile" payload is
 // byte-identical whichever way it came.
 //
-// Parallelism: cache misses are grouped by solve options and each group
-// is fanned out over a thread pool claiming requests from a shared
-// cursor, while responses stay deterministically ordered.
+// Parallelism: one thread pool serves three passes, each claiming
+// requests from a shared cursor -- parse + cache lookup, the solves of
+// the misses (grouped by solve options), and response encoding -- while
+// responses are written in input order and CacheStats are counted in
+// input order after the lookup pass.
 #pragma once
 
 #include <functional>
@@ -47,7 +49,7 @@ class Solver;  // e2e/solver.h
 namespace deltanc::io {
 
 struct BatchOptions {
-  /// Worker count for the solve fan-out; 0 = DELTANC_THREADS env or
+  /// Worker count of the batch's passes; 0 = DELTANC_THREADS env or
   /// hardware_concurrency() (ThreadPool::default_thread_count()).
   int threads = 0;
   /// Method used when a request carries no "options" object.

@@ -1,5 +1,6 @@
 #include "io/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -18,7 +19,8 @@ namespace {
 /// Shortest-faithful number rendering: integers up to 2^53 print without
 /// an exponent or trailing ".0" (so counts look like counts), everything
 /// else prints with max_digits10 = 17 significant digits, which strtod
-/// parses back to the identical double.
+/// parses back to the identical double.  std::to_chars writes exactly
+/// what printf's "%.0f" / "%.17g" would, without the locale or varargs.
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     throw std::invalid_argument(
@@ -26,17 +28,33 @@ void append_number(std::string& out, double v) {
         "(\"inf\"/\"-inf\"/\"nan\") at the codec layer");
   }
   char buf[40];
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  out += buf;
+  const bool integral =
+      v == std::floor(v) && std::fabs(v) < 9.007199254740992e15;
+  const auto [end, ec] =
+      integral ? std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 17);
+  (void)ec;  // 40 bytes hold any "%.17g" rendering
+  out.append(buf, end);
+}
+
+/// True for a byte a JSON string can carry verbatim.
+bool is_plain_string_byte(char c) {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
 }
 
 void append_quoted(std::string& out, std::string_view s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t i = 0;
+  while (i < s.size()) {
+    // Copy the run of bytes that need no escape in one append.
+    std::size_t run = i;
+    while (run < s.size() && is_plain_string_byte(s[run])) ++run;
+    out.append(s.data() + i, run - i);  // UTF-8 bytes pass through verbatim
+    if (run == s.size()) break;
+    const char c = s[run];
+    i = run + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -59,15 +77,12 @@ void append_quoted(std::string& out, std::string_view s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through verbatim
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out += buf;
+      }
     }
   }
   out += '"';
@@ -174,11 +189,17 @@ class Parser {
   }
 
   void skip_whitespace() {
-    while (!eof()) {
-      const char c = peek();
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return;
-      take();
+    std::size_t i = pos_;
+    for (; i < text_.size(); ++i) {
+      const char c = text_[i];
+      if (c == '\n') {
+        ++line_;
+        line_start_ = i + 1;
+      } else if (c != ' ' && c != '\t' && c != '\r') {
+        break;
+      }
     }
+    pos_ = i;
   }
 
   void expect_literal(std::string_view literal) {
@@ -218,11 +239,16 @@ class Parser {
     const std::size_t start = pos_;
     if (!eof() && peek() == '-') take();
     if (eof() || !(peek() >= '0' && peek() <= '9')) fail("invalid number");
-    while (!eof() && ((peek() >= '0' && peek() <= '9') || peek() == '.' ||
-                      peek() == 'e' || peek() == 'E' || peek() == '+' ||
-                      peek() == '-')) {
-      take();
+    std::size_t end = pos_;
+    for (; end < text_.size(); ++end) {
+      const char c = text_[end];
+      if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+            c == '+' || c == '-')) {
+        break;
+      }
     }
+    pos_ = end;  // number characters hold no '\n'
+
     // std::from_chars never consults the C locale's decimal point, so
     // documents parse identically under any LC_NUMERIC setting.
     const std::string_view token = text_.substr(start, pos_ - start);
@@ -242,6 +268,12 @@ class Parser {
     take();  // opening quote
     std::string out;
     for (;;) {
+      // A run of plain bytes holds no '\n', so it can skip take()'s
+      // line bookkeeping and land in one append.
+      std::size_t run = pos_;
+      while (run < text_.size() && is_plain_string_byte(text_[run])) ++run;
+      out.append(text_.data() + pos_, run - pos_);
+      pos_ = run;
       if (eof()) fail("unterminated string");
       const char c = take();
       if (c == '"') return out;
@@ -347,51 +379,77 @@ class Parser {
     }
   }
 
+  // Arrays and objects collect their elements on a stack shared by every
+  // nesting level and move them into one exactly-sized container at the
+  // closing bracket, instead of regrowing each container element by
+  // element.
   Value parse_array(int depth) {
     take();  // '['
-    Value out = Value::array();
     skip_whitespace();
     if (!eof() && peek() == ']') {
       take();
-      return out;
+      return Value::array();
     }
+    const std::size_t base = items_.size();
     for (;;) {
-      out.push_back(parse_value(depth + 1));
+      items_.push_back(parse_value(depth + 1));
       skip_whitespace();
       if (eof()) fail("unterminated array");
       const char c = take();
-      if (c == ']') return out;
+      if (c == ']') break;
       if (c != ',') fail("expected ',' or ']' in array");
     }
+    std::vector<Value> items(std::make_move_iterator(items_.begin() + base),
+                             std::make_move_iterator(items_.end()));
+    items_.resize(base);
+    return Value::array(std::move(items));
   }
 
   Value parse_object(int depth) {
     take();  // '{'
-    Value out = Value::object();
     skip_whitespace();
     if (!eof() && peek() == '}') {
       take();
-      return out;
+      return Value::object();
     }
+    const std::size_t base = members_.size();
     for (;;) {
       skip_whitespace();
       if (eof() || peek() != '"') fail("expected string key in object");
       std::string key = parse_string();
       skip_whitespace();
       if (eof() || take() != ':') fail("expected ':' after object key");
-      out.set(std::move(key), parse_value(depth + 1));
+      Value element = parse_value(depth + 1);
+      // A repeated key replaces the earlier value in place (Value::set).
+      const auto first = members_.begin() + static_cast<std::ptrdiff_t>(base);
+      const auto dup = std::find_if(first, members_.end(), [&](const auto& m) {
+        return m.first == key;
+      });
+      if (dup != members_.end()) {
+        dup->second = std::move(element);
+      } else {
+        members_.emplace_back(std::move(key), std::move(element));
+      }
       skip_whitespace();
       if (eof()) fail("unterminated object");
       const char c = take();
-      if (c == '}') return out;
+      if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
+    Members members(
+        std::make_move_iterator(members_.begin() +
+                                static_cast<std::ptrdiff_t>(base)),
+        std::make_move_iterator(members_.end()));
+    members_.resize(base);
+    return Value::object(std::move(members));
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
   std::size_t line_start_ = 0;
+  std::vector<Value> items_;  ///< open arrays' elements, innermost last
+  Members members_;           ///< open objects' members, innermost last
 };
 
 }  // namespace

@@ -64,6 +64,13 @@ class Value {
   }
   static Value array() { return Value(std::in_place_type<std::vector<Value>>); }
   static Value object() { return Value(std::in_place_type<Members>); }
+  /// An array / object taking over ready-made elements.
+  static Value array(std::vector<Value> items) {
+    return Value(std::in_place_type<std::vector<Value>>, std::move(items));
+  }
+  static Value object(Members members) {
+    return Value(std::in_place_type<Members>, std::move(members));
+  }
 
   [[nodiscard]] Type type() const noexcept {
     return static_cast<Type>(storage_.index());

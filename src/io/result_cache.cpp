@@ -1,11 +1,12 @@
 #include "io/result_cache.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "deltanc/version.h"
@@ -78,6 +79,7 @@ ResultCache::ResultCache(std::filesystem::path dir, CacheShard shard)
                                 std::to_string(shard_.count));
   }
   const std::filesystem::path epoch = dir_ / epoch_name();
+  epoch_dir_ = epoch.string();
   std::error_code ec;
   std::filesystem::create_directories(epoch, ec);
   if (ec || !std::filesystem::is_directory(epoch)) {
@@ -116,27 +118,41 @@ std::filesystem::path ResultCache::directory_from_env(
   return fallback;
 }
 
-std::filesystem::path ResultCache::entry_path(std::string_view key) const {
+std::string ResultCache::entry_file(std::string_view key) const {
   char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.json",
+  std::snprintf(name, sizeof(name), "/%016llx.json",
                 static_cast<unsigned long long>(fnv1a64(key)));
-  return dir_ / epoch_name() / name;
+  return epoch_dir_ + name;
+}
+
+std::filesystem::path ResultCache::entry_path(std::string_view key) const {
+  return entry_file(key);
 }
 
 namespace {
 
-/// Reads and classifies the entry at `path`; decodes its profile into
+/// Reads and classifies the entry at `file`; decodes its profile into
 /// `profile` only when the entry is a hit for `key`.
-CacheLookup classify_entry(const std::filesystem::path& path,
-                           const std::string& key,
+CacheLookup classify_entry(const std::string& file, const std::string& key,
                            e2e::DelayProfile& profile) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return CacheLookup::kMiss;
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (!in.good() && !in.eof()) return CacheLookup::kCorrupt;
+  std::string text;
+  {
+    const int fd = ::open(file.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return CacheLookup::kMiss;
+    char buf[4096];
+    ssize_t got = 0;
+    while ((got = ::read(fd, buf, sizeof buf)) != 0) {
+      if (got > 0) {
+        text.append(buf, static_cast<std::size_t>(got));
+      } else if (errno != EINTR) {
+        break;
+      }
+    }
+    ::close(fd);
+    if (got < 0) return CacheLookup::kCorrupt;
+  }
   try {
-    const json::Value entry = json::Value::parse(text.str());
+    const json::Value entry = json::Value::parse(text);
     // Schema or library version drift makes the entry stale, not corrupt:
     // the bytes are fine, the producer was just a different build.
     const json::Value* schema = entry.is_object() ? entry.find("schema") : nullptr;
@@ -168,7 +184,7 @@ CacheLookup classify_entry(const std::filesystem::path& path,
 
 }  // namespace
 
-void ResultCache::count(CacheLookup outcome) noexcept {
+void ResultCache::record(CacheLookup outcome) noexcept {
   switch (outcome) {
     case CacheLookup::kHit:
       ++stats_.hits;
@@ -187,9 +203,14 @@ void ResultCache::count(CacheLookup outcome) noexcept {
 
 CacheLookup ResultCache::lookup_profile(const std::string& key,
                                         e2e::DelayProfile& profile) {
-  const CacheLookup outcome = classify_entry(entry_path(key), key, profile);
-  count(outcome);
+  const CacheLookup outcome = peek_profile(key, profile);
+  record(outcome);
   return outcome;
+}
+
+CacheLookup ResultCache::peek_profile(const std::string& key,
+                                      e2e::DelayProfile& profile) const {
+  return classify_entry(entry_file(key), key, profile);
 }
 
 void ResultCache::store_profile(const std::string& key,

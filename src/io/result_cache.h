@@ -88,8 +88,9 @@ struct CacheShard {
 
 /// Filesystem-backed store of DelayProfiles addressed by canonical
 /// cache key.  Lookup/store are safe to call from one thread at a time per
-/// ResultCache object; distinct processes sharing a directory are safe
-/// against each other thanks to the atomic rename stores.
+/// ResultCache object (peek_profile, which is const, from many at once);
+/// distinct processes sharing a directory are safe against each other
+/// thanks to the atomic rename stores.
 class ResultCache {
  public:
   /// Opens (and creates if needed) the cache directory and its current
@@ -145,6 +146,16 @@ class ResultCache {
   [[nodiscard]] CacheLookup lookup_profile(const std::string& key,
                                            e2e::DelayProfile& profile);
 
+  /// lookup_profile without the counter bump: reads and classifies the
+  /// entry, fills `profile` only on kHit, and writes no member, so
+  /// threads may share one ResultCache for it.  Pair every call with
+  /// one record() to keep CacheStats whole.
+  [[nodiscard]] CacheLookup peek_profile(const std::string& key,
+                                         e2e::DelayProfile& profile) const;
+
+  /// Bumps the CacheStats counter of one lookup outcome.
+  void record(CacheLookup outcome) noexcept;
+
   /// Stores (overwriting any previous entry -- including stale and
   /// corrupt ones) via atomic tmp + rename.
   /// @throws std::runtime_error when the entry cannot be written.
@@ -178,9 +189,11 @@ class ResultCache {
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
  private:
-  void count(CacheLookup outcome) noexcept;
+  /// entry_path as a plain string, built without path decomposition.
+  [[nodiscard]] std::string entry_file(std::string_view key) const;
 
   std::filesystem::path dir_;
+  std::string epoch_dir_;  ///< dir_ / "v<kSchemaVersion>", as a string
   CacheShard shard_{};
   CacheStats stats_;
   int injected_store_failures_ = 0;

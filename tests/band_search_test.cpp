@@ -385,27 +385,24 @@ TEST(BandSearch, NonConvexDeltaKeepsTheEnumeration) {
 
 TEST(BandSearch, LongPathSolvesKeepAnswersAndEvaluationCounts) {
   // Full solves whose every theta optimization runs the band search
-  // (convex Delta, hops at or past the crossover).  The FIFO/BMUX/SP-high
-  // bits and counts were pinned from the enumeration-only solver: the
-  // band search makes each call cheaper and changes neither the answer
-  // nor the number of calls the parameter search makes.  The EDF row was
-  // re-pinned when its fixed point moved to cheap kLocal iterates plus a
-  // full-budget confirmation (fewer evaluations, a delay 1.7e-12 relative
-  // lower).
+  // (convex Delta, hops at or past the crossover).  The band search makes
+  // each call cheaper and changes neither the answer nor the number of
+  // calls the parameter search makes, so these bits and counts are the
+  // enumeration's too; the EDF row also pins its fixed-point iterations.
   const struct {
     int hops;
     sched::SchedulerKind kind;
     double delay, gamma, s;
     std::int64_t optimize_evals, edf_iterations;
   } pins[] = {
-      {20, sched::SchedulerKind::kEdf, 0x1.ef718f77c5cf5p+7,
-       0x1.f283bfda55deep-4, 0x1.8407541cd8b67p-5, 13920, 5},
-      {40, sched::SchedulerKind::kFifo, 0x1.f6b93aa2c5052p+9,
-       0x1.9de0d364c6ab4p-5, 0x1.49ab1af7045a8p-5, 5624, 0},
-      {40, sched::SchedulerKind::kBmux, 0x1.f74fb0be44f82p+9,
-       0x1.944327a00c936p-5, 0x1.497eb6e1322dbp-5, 5624, 0},
-      {12, sched::SchedulerKind::kSpHigh, 0x1.66483d1e423a2p+6,
-       0x1.8ff09b6e425efp-3, 0x1.841df39c2b1c8p-5, 5624, 0},
+      {20, sched::SchedulerKind::kEdf, 0x1.ef718f77c96b1p+7,
+       0x1.f283aa9a71a85p-4, 0x1.840754ac522p-5, 5494, 5},
+      {40, sched::SchedulerKind::kFifo, 0x1.f6b93aa2c3acbp+9,
+       0x1.9de0cfd2b0c95p-5, 0x1.49ab1ec77b1bdp-5, 2125, 0},
+      {40, sched::SchedulerKind::kBmux, 0x1.f74fb0be446cbp+9,
+       0x1.944321cd44c4dp-5, 0x1.497ebe8213108p-5, 2055, 0},
+      {12, sched::SchedulerKind::kSpHigh, 0x1.66483d1e41c7fp+6,
+       0x1.8ff0b4c2b42e8p-3, 0x1.841df2c87894cp-5, 2014, 0},
   };
   for (const auto& pin : pins) {
     Scenario sc;

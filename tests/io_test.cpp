@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "core/scenario.h"
@@ -90,6 +93,53 @@ TEST(Json, NumbersRoundTripBitExactly) {
   // Integral doubles print as integers (stable canonical form).
   EXPECT_EQ(Value::number(100.0).dump(), "100");
   EXPECT_EQ(Value::number(-3.0).dump(), "-3");
+}
+
+// The writer's rendering is the wire format and the cache key's bytes:
+// "%.0f" for integral doubles below 2^53, "%.17g" for the rest.  Random
+// bit patterns cover subnormals, huge and tiny exponents and both signs.
+TEST(Json, NumbersPrintExactlyAsPrintfWould) {
+  std::mt19937_64 rng(1234);
+  std::vector<double> cases = {0.0, -0.0, 1.0, -1.0, 0.5, 1e21, 1e22,
+                               9007199254740991.0, 9007199254740992.0,
+                               0.98899999999999999, 1e-7, 123456.5};
+  while (cases.size() < 20000) {
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) cases.push_back(d);
+    // Doubles of ordinary magnitude and integral values too.
+    cases.push_back(std::ldexp(static_cast<double>(rng() >> 11), -40));
+    cases.push_back(std::floor(static_cast<double>(rng() >> 20) / 7.0));
+  }
+  for (const double d : cases) {
+    char want[40];
+    if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
+      std::snprintf(want, sizeof want, "%.0f", d);
+    } else {
+      std::snprintf(want, sizeof want, "%.17g", d);
+    }
+    ASSERT_EQ(Value::number(d).dump(), want);
+  }
+}
+
+// Containers are assembled from a stack shared by every nesting level;
+// each one must come back whole, in order, with a repeated key keeping
+// its first position and its last value (as Value::set does).
+TEST(Json, NestedContainersAndRepeatedKeysParseAsBuilt) {
+  const std::string text =
+      R"({"a":[[1,[2,3],[]],{"x":[4,{"y":5,"z":[6]}],"w":{}},7],)"
+      R"("b":{"c":1,"d":[8,9],"c":{"e":[10]}},"f":"q\"\\\n\u0001r"})";
+  const Value v = Value::parse(text);
+  Value want_b = Value::object();
+  want_b.set("c", Value::parse(R"({"e":[10]})"))
+      .set("d", Value::parse("[8,9]"));
+  EXPECT_EQ(v.at("b").dump(), want_b.dump());
+  EXPECT_EQ(v.at("a").dump(),
+            R"([[1,[2,3],[]],{"x":[4,{"y":5,"z":[6]}],"w":{}},7])");
+  EXPECT_EQ(v.at("f").as_string(), "q\"\\\n\x01r");
+  EXPECT_EQ(v.at("f").dump(), R"("q\"\\\n\u0001r")");
+  EXPECT_EQ(v.members().size(), 3u);
 }
 
 TEST(Json, WriterRejectsNonFiniteNumbers) {

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "e2e/additive_baseline.h"
+#include "e2e/brent_refine.h"
 #include "e2e/delay_bound.h"
 #include "e2e/network_epsilon.h"
 #include "e2e/solver.h"
@@ -282,30 +284,30 @@ TEST(ParamSearch, Fig2NonEdfBoundsArePinned) {
     double delay_ms, gamma, s;
   };
   const Golden goldens[] = {
-      {67, sched::SchedulerKind::kFifo, 0x1.6126458d64984p+4, 0x1.8ceaed36017b9p-1,
-       0x1.7f822a740c65ap-4},
-      {67, sched::SchedulerKind::kBmux, 0x1.62f9aace0d634p+4, 0x1.73257fd5cbeb3p-1,
-       0x1.80af0e1516472p-4},
-      {67, sched::SchedulerKind::kSpHigh, 0x1.a80e65f9ad2c8p+3, 0x1.7f877ff7d2f14p-1,
-       0x1.801e6bab8aa78p-4},
-      {202, sched::SchedulerKind::kFifo, 0x1.184f61904a5b3p+6, 0x1.75cc06e469a8cp-1,
-       0x1.7afa88467c891p-5},
-      {202, sched::SchedulerKind::kBmux, 0x1.1bf9a680e7466p+6, 0x1.35bbf06189289p-1,
-       0x1.78367fc1ae58fp-5},
-      {202, sched::SchedulerKind::kSpHigh, 0x1.8b064d292a4p+4, 0x1.4e0269a4f6d63p-1,
-       0x1.b2412245fae83p-5},
-      {404, sched::SchedulerKind::kFifo, 0x1.49503568d5f88p+8, 0x1.d911a18f66e76p-2,
-       0x1.5215bca99053ep-6},
-      {404, sched::SchedulerKind::kBmux, 0x1.548cb87dd5bafp+8, 0x1.2372bd72b0a24p-2,
-       0x1.51150d427a48cp-6},
-      {404, sched::SchedulerKind::kSpHigh, 0x1.113af9313e434p+6, 0x1.103e84dabccdap-2,
-       0x1.604ba6698ff01p-6},
-      {538, sched::SchedulerKind::kFifo, 0x1.053936dc61ecp+11, 0x1.6b2a8a7ee6f0ep-5,
-       0x1.1968dc51fd566p-8},
-      {538, sched::SchedulerKind::kBmux, 0x1.4cf730845299bp+11, 0x1.7220150ed15c7p-5,
-       0x1.19211a78e7816p-8},
-      {538, sched::SchedulerKind::kSpHigh, 0x1.a25363d608cdcp+8, 0x1.657bb90fb379ep-5,
-       0x1.19a3740923946p-8},
+      {67, sched::SchedulerKind::kFifo, 0x1.6126458d64834p+4, 0x1.8cead6f98cb0ap-1,
+       0x1.7f822b77752f3p-4},
+      {67, sched::SchedulerKind::kBmux, 0x1.62f9aace0d657p+4, 0x1.732568d835b39p-1,
+       0x1.80af0f21b9f6cp-4},
+      {67, sched::SchedulerKind::kSpHigh, 0x1.a80e65f9ad22ap+3, 0x1.7f877dc97786ep-1,
+       0x1.801e6bc501ecap-4},
+      {202, sched::SchedulerKind::kFifo, 0x1.184f61904a275p+6, 0x1.75cc0a62673c6p-1,
+       0x1.7afa81be9b206p-5},
+      {202, sched::SchedulerKind::kBmux, 0x1.1bf9a680e6f18p+6, 0x1.35bbe7ea9cdfap-1,
+       0x1.7836894576eep-5},
+      {202, sched::SchedulerKind::kSpHigh, 0x1.8b064d292984fp+4, 0x1.4e025ce366c14p-1,
+       0x1.b241230c4dc22p-5},
+      {404, sched::SchedulerKind::kFifo, 0x1.49503568d2275p+8, 0x1.d910ee9549885p-2,
+       0x1.5215c97366732p-6},
+      {404, sched::SchedulerKind::kBmux, 0x1.548cb87dd1ccp+8, 0x1.2372d19e9f56p-2,
+       0x1.5114f60a1d893p-6},
+      {404, sched::SchedulerKind::kSpHigh, 0x1.113af9313db0ap+6, 0x1.103e35c7bc6edp-2,
+       0x1.604babf427d22p-6},
+      {538, sched::SchedulerKind::kFifo, 0x1.053936dc28648p+11, 0x1.6b2b4f7031511p-5,
+       0x1.1968d4639ec71p-8},
+      {538, sched::SchedulerKind::kBmux, 0x1.4cf730841a578p+11, 0x1.7223e7a436b41p-5,
+       0x1.1920f30e31423p-8},
+      {538, sched::SchedulerKind::kSpHigh, 0x1.a25363d5b911ap+8, 0x1.657e358df6a74p-5,
+       0x1.19a35a66fbb9cp-8},
   };
   for (const Golden& g : goldens) {
     SCOPED_TRACE(testing::Message() << "Nc=" << g.n_cross << " sched="
@@ -316,6 +318,157 @@ TEST(ParamSearch, Fig2NonEdfBoundsArePinned) {
     EXPECT_EQ(r.delay_ms, g.delay_ms);
     EXPECT_EQ(r.gamma, g.gamma);
     EXPECT_EQ(r.s, g.s);
+  }
+}
+
+TEST(ParamSearch, BoundDoesNotGrowWithCapacityAcrossThePeakFit) {
+  // 100 flows of peak 1.5 Mbps fill exactly 150 Mbps.  Just below that
+  // the stability limit of s is finite but huge (~1e6 at 149.99999);
+  // above it every s is stable.  Both sides end the s search at the same
+  // cap (1e8), so a slightly faster link never gets a larger bound, and
+  // below the cap the search still runs up to the stability limit.
+  // Rows pinned bit for bit (%a).
+  const struct {
+    double capacity, delay, s;
+  } rows[] = {
+      {149.99999, 0x1.d107e79bbc394p-20, 0x1.e61b117fb75d6p+19},
+      {150.000001, 0x1.0009b9ac51829p-26, 0x1.7d16980000000p+26},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.capacity);
+    Scenario sc = paper_scenario(4, 50, 50, sched::SchedulerKind::kFifo);
+    sc.capacity = row.capacity;
+    const BoundResult r = deltanc::Solver().solve(sc);
+    EXPECT_EQ(r.delay_ms, row.delay);
+    EXPECT_EQ(r.s, row.s);
+  }
+  for (sched::SchedulerKind kind :
+       {sched::SchedulerKind::kFifo, sched::SchedulerKind::kEdf,
+        sched::SchedulerKind::kGps}) {
+    double prev = kInf;
+    for (double capacity : {149.0, 149.9, 149.999, 149.99999, 149.9999999,
+                            150.0, 150.000001, 150.001, 150.1}) {
+      SCOPED_TRACE(testing::Message() << "kind " << static_cast<int>(kind)
+                                      << " C=" << capacity);
+      Scenario sc = paper_scenario(4, 50, 50, kind);
+      sc.capacity = capacity;
+      const double d = deltanc::Solver().solve(sc).delay_ms;
+      ASSERT_TRUE(std::isfinite(d));
+      EXPECT_LE(d, prev);
+      prev = d;
+    }
+  }
+}
+
+/// Runs detail::brent_refine from the best point of a `scan`-step grid
+/// over [lo, hi] (as the parameter search does) and records every x it
+/// evaluates.
+struct RefineRun {
+  double x = 0.0, v = kInf, seed_x = 0.0, seed_v = kInf;
+  std::vector<double> probes;
+};
+
+template <typename F>
+RefineRun refine_after_scan(F f, double lo, double hi, int scan,
+                            int max_evals) {
+  RefineRun run;
+  run.seed_x = lo;
+  for (int i = 0; i <= scan; ++i) {
+    const double x = lo + (hi - lo) * i / scan;
+    if (const double v = f(x); v < run.seed_v) {
+      run.seed_v = v;
+      run.seed_x = x;
+    }
+  }
+  run.x = run.seed_x;
+  run.v = detail::brent_refine(
+      [&](double x) {
+        run.probes.push_back(x);
+        return f(x);
+      },
+      lo, hi, (hi - lo) / scan, max_evals, run.x, run.seed_v);
+  return run;
+}
+
+TEST(BrentRefine, SmoothQuadraticConvergesInFewEvaluations) {
+  const auto f = [](double x) { return (x - 0.3) * (x - 0.3) + 2.0; };
+  const RefineRun run = refine_after_scan(f, 0.0, 1.0, 8, 48);
+  EXPECT_NEAR(run.x, 0.3, 1e-7);
+  EXPECT_EQ(run.v, f(run.x));
+  EXPECT_LE(run.probes.size(), 8u);
+}
+
+TEST(BrentRefine, VShapedKinkStillConverges) {
+  // No parabola fits a kink; the golden fallback must carry it home.
+  const auto f = [](double x) { return std::abs(x - 0.37) + 1.0; };
+  const RefineRun run = refine_after_scan(f, 0.0, 1.0, 8, 64);
+  EXPECT_NEAR(run.x, 0.37, 1e-6);
+  EXPECT_LT(run.probes.size(), 64u);
+}
+
+TEST(BrentRefine, StaysInsideTheRangeWhenOutsideAWindowIsInfinite) {
+  // +inf beyond a feasibility window, as for gamma past the Eq. (32)
+  // limit or an unstable s.  The minimum sits on the window's edge and
+  // the bracket around the scan winner runs past both ends of [lo, hi].
+  const auto window = [](double x) {
+    return x > 0.2 && x < 0.5 ? (x - 0.6) * (x - 0.6) : kInf;
+  };
+  for (int scan : {2, 3, 8}) {
+    SCOPED_TRACE(scan);
+    const RefineRun run = refine_after_scan(window, 0.1, 0.9, scan, 48);
+    for (double x : run.probes) {
+      EXPECT_GE(x, 0.1);
+      EXPECT_LE(x, 0.9);
+    }
+    EXPECT_FALSE(std::isnan(run.v));
+    EXPECT_FALSE(std::isnan(run.x));
+    ASSERT_TRUE(std::isfinite(run.v));
+    EXPECT_NEAR(run.x, 0.5, 1e-6);
+  }
+  // A scan that saw no finite value at all still returns no NaN.
+  const RefineRun blind = refine_after_scan(
+      [](double x) { return x > 0.5 && x < 0.52 ? 1.0 : kInf; }, 0.0, 1.0,
+      4, 24);
+  EXPECT_FALSE(std::isnan(blind.v));
+  EXPECT_FALSE(std::isnan(blind.x));
+  for (double x : blind.probes) {
+    EXPECT_GE(x, 0.0);
+    EXPECT_LE(x, 1.0);
+  }
+}
+
+TEST(BrentRefine, NeverWorseThanTheSeed) {
+  // The bracket around the winner holds only worse values: the seed is
+  // kept, argument and value.
+  const auto bumpy = [](double x) {
+    return x == 0.5 ? 0.0 : 1.0 + std::sin(40.0 * x) * std::sin(40.0 * x);
+  };
+  double x = 0.5;
+  EXPECT_EQ(detail::brent_refine(bumpy, 0.0, 1.0, 0.125, 48, x, 0.0), 0.0);
+  EXPECT_EQ(x, 0.5);
+  // A constant objective: every probe ties the seed, which stays.
+  x = 0.25;
+  EXPECT_EQ(detail::brent_refine([](double) { return 3.0; }, 0.0, 1.0,
+                                 0.125, 48, x, 3.0),
+            3.0);
+  EXPECT_EQ(x, 0.25);
+  // And a refined result is never above the seed value.
+  for (int scan : {3, 5, 8, 13}) {
+    const RefineRun run = refine_after_scan(
+        [](double t) { return std::cos(9.0 * t) + 0.1 * t; }, 0.0, 2.0, scan,
+        32);
+    EXPECT_LE(run.v, run.seed_v) << "scan " << scan;
+  }
+}
+
+TEST(BrentRefine, EvaluationCapHolds) {
+  // A kink converges at the golden rate only, so short caps bind.
+  const auto kink = [](double x) { return std::abs(x - 0.37) + 1.0; };
+  for (int cap : {0, 1, 2, 5, 20}) {
+    SCOPED_TRACE(cap);
+    const RefineRun run = refine_after_scan(kink, 0.0, 1.0, 8, cap);
+    EXPECT_EQ(run.probes.size(), static_cast<std::size_t>(cap));
+    EXPECT_LE(run.v, run.seed_v);
   }
 }
 

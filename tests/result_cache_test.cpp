@@ -100,6 +100,44 @@ class ResultCacheTest : public ::testing::Test {
     return result;
   }
 
+  /// Stores `sc` as `released` wrote it -- its version string and its
+  /// delay -- and expects the entry to classify stale and be re-solved to
+  /// this release's cold bits, never served as a hit.
+  void expect_released_entry_stale(const e2e::Scenario& sc,
+                                   const std::string& released,
+                                   const std::string& released_delay) const {
+    const e2e::BoundResult fresh = deltanc::Solver().solve(sc);
+    ASSERT_NE(fresh.delay_ms, std::stod(released_delay));
+    ASSERT_NE(std::string(DELTANC_VERSION_STRING), released);
+
+    ResultCache cache(cache_dir());
+    const std::string key = scalar_key(sc);
+    cache.store(key, fresh);
+    const std::filesystem::path path = cache.entry_path(key);
+    std::string text = read_file(path);
+    const std::string current =
+        std::string("\"") + DELTANC_VERSION_STRING + "\"";
+    std::size_t at = text.find(current);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, current.size(), "\"" + released + "\"");
+    const std::string field = "\"delay_ms\":";
+    at = text.find(field);
+    ASSERT_NE(at, std::string::npos);
+    at += field.size();
+    text.replace(at, text.find(',', at) - at, released_delay);
+    write_file(path, text);
+
+    e2e::BoundResult out;
+    EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
+    CacheLookup outcome{};
+    const e2e::BoundResult solved = lookup_or_solve(cache, sc, outcome);
+    EXPECT_EQ(outcome, CacheLookup::kStale);
+    EXPECT_EQ(solved.delay_ms, fresh.delay_ms);
+    EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
+    EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
+    EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
+  }
+
   /// An entry as a schema-`schema` build wrote it, found where it can
   /// sit today: at the flat pre-epoch path of the current key (never
   /// opened -- a miss, counted foreign) and copied into the current
@@ -206,47 +244,28 @@ TEST_F(ResultCacheTest, VersionDriftClassifiesAsStaleAndIsOverwritten) {
   EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
 }
 
-TEST_F(ResultCacheTest, PreviousReleaseEdfEntryIsStaleNeverServed) {
-  // Release 1.1.0 solved the EDF fixed point with every iterate at the
-  // full budget; 1.1.1 confirms cheap iterates and returns different
-  // bits for the same key.  An entry as 1.1.0 wrote it -- its version
-  // string and its delay -- must classify stale and be re-solved, never
-  // served as a hit.
+e2e::Scenario fig2_point(sched::SchedulerKind kind) {
   e2e::Scenario sc = small_scenario(67);
   sc.hops = 5;
   sc.n_through = 100;
   sc.epsilon = 1e-9;
-  sc.scheduler = sched::SchedulerKind::kEdf;
-  const double released_delay = 17.760863886477203;  // 1.1.0's answer
-  const e2e::BoundResult fresh = deltanc::Solver().solve(sc);
-  ASSERT_NE(fresh.delay_ms, released_delay);
-  ASSERT_STRNE(DELTANC_VERSION_STRING, "1.1.0");
+  sc.scheduler = kind;
+  return sc;
+}
 
-  ResultCache cache(cache_dir());
-  const std::string key = scalar_key(sc);
-  cache.store(key, fresh);
-  const std::filesystem::path path = cache.entry_path(key);
-  std::string text = read_file(path);
-  const std::string current = std::string("\"") + DELTANC_VERSION_STRING + "\"";
-  std::size_t at = text.find(current);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, current.size(), "\"1.1.0\"");
-  const std::string field = "\"delay_ms\":";
-  at = text.find(field);
-  ASSERT_NE(at, std::string::npos);
-  at += field.size();
-  text.replace(at, text.find(',', at) - at, "17.760863886477203");
-  write_file(path, text);
+TEST_F(ResultCacheTest, PreviousReleaseEdfEntryIsStaleNeverServed) {
+  // Release 1.1.1 refined s and gamma by a fixed-length golden search;
+  // 1.1.2 refines by Brent's method and returns different bits for the
+  // same key.  An EDF entry as 1.1.1 wrote it must classify stale.
+  expect_released_entry_stale(fig2_point(sched::SchedulerKind::kEdf),
+                              "1.1.1", "17.760863886476947");
+}
 
-  e2e::BoundResult out;
-  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kStale);
-  CacheLookup outcome{};
-  const e2e::BoundResult solved = lookup_or_solve(cache, sc, outcome);
-  EXPECT_EQ(outcome, CacheLookup::kStale);
-  EXPECT_EQ(solved.delay_ms, fresh.delay_ms);
-  EXPECT_EQ(encode_bound_result(solved).dump(), cold_bytes(sc));
-  EXPECT_EQ(cache.lookup(key, out), CacheLookup::kHit);
-  EXPECT_EQ(encode_bound_result(out).dump(), cold_bytes(sc));
+TEST_F(ResultCacheTest, PreviousReleaseFifoEntryIsStaleNeverServed) {
+  // The refinement moved every scheduler's answer, not only EDF's fixed
+  // point: a FIFO entry as 1.1.1 wrote it must classify stale as well.
+  expect_released_entry_stale(fig2_point(sched::SchedulerKind::kFifo),
+                              "1.1.1", "29.601894716297615");
 }
 
 TEST_F(ResultCacheTest, SchemaDriftIsStaleToo) {
@@ -548,6 +567,30 @@ TEST_F(ResultCacheTest, SolveThroughCountsOneOutcomePerResult) {
   // Same answer bytes either way: nothing about the lookup leaks in.
   EXPECT_EQ(encode_bound_result(first).dump(), cold_bytes(sc));
   EXPECT_EQ(encode_bound_result(second).dump(), cold_bytes(sc));
+}
+
+// peek_profile is lookup_profile's read half: the same outcome and
+// answer, no counter touched; record() adds the count back.
+TEST_F(ResultCacheTest, PeekProfileLeavesTheCountToRecord) {
+  ResultCache cache(cache_dir());
+  const e2e::Scenario sc = small_scenario();
+  const std::string key = scalar_key(sc);
+  e2e::DelayProfile peeked;
+  EXPECT_EQ(cache.peek_profile(key, peeked), CacheLookup::kMiss);
+  cache.store_profile(key, one_level(12.5));
+  EXPECT_EQ(cache.peek_profile(key, peeked), CacheLookup::kHit);
+  ASSERT_EQ(peeked.levels.size(), 1u);
+  EXPECT_EQ(peeked.levels.front().delay_ms, 12.5);
+  EXPECT_EQ(cache.stats().lookups(), 0);
+  cache.record(CacheLookup::kHit);
+  cache.record(CacheLookup::kMiss);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+  e2e::DelayProfile looked_up;
+  EXPECT_EQ(cache.lookup_profile(key, looked_up), CacheLookup::kHit);
+  EXPECT_EQ(encode_delay_profile(looked_up).dump(),
+            encode_delay_profile(peeked).dump());
+  EXPECT_EQ(cache.stats().hits, 2);
 }
 
 TEST_F(ResultCacheTest, DirectoryFromEnvPrefersTheVariable) {
